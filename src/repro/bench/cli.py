@@ -51,7 +51,7 @@ exits non-zero when any check fails or either format exceeds
 :mod:`repro.bench.http_bench`).
 
 ``cluster`` starts the multi-process serving tier (shared-memory
-segment store + pre-fork worker pool + asyncio front door) and drives
+segment store + pre-fork worker pool behind the one HTTP server) and drives
 a 1→N worker scaling curve, gating on byte-identical responses versus
 the single-process server, cluster-wide update visibility, zero
 leftover shared-memory segments after shutdown, and an adaptive
@@ -80,6 +80,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+
+from repro.bench.report import write_report
 
 
 def _cmd_generate(args) -> None:
@@ -149,8 +151,18 @@ def _cmd_smoke(args) -> None:
         sys.exit(1)
 
 
+def _emit(report: dict, render, out: str | None) -> None:
+    """Print a bench report, write it when asked, exit 1 on a failed gate."""
+    print(render(report))
+    if out:
+        write_report(report, out)
+        print(f"wrote {out}")
+    if not report["ok"]:
+        sys.exit(1)
+
+
 def _cmd_service(args) -> None:
-    from repro.bench.service_bench import render, run_service_bench, write_report
+    from repro.bench.service_bench import render, run_service_bench
 
     report = run_service_bench(
         universities=args.universities,
@@ -160,16 +172,11 @@ def _cmd_service(args) -> None:
         workers=args.workers,
         zipf=args.zipf,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
 
 
 def _cmd_updates(args) -> None:
-    from repro.bench.updates_bench import render, run_updates_bench, write_report
+    from repro.bench.updates_bench import render, run_updates_bench
 
     report = run_updates_bench(
         universities=args.universities,
@@ -178,12 +185,7 @@ def _cmd_updates(args) -> None:
         batches=args.batches,
         batch_size=args.batch_size,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
     if args.min_speedup and report["update_query_speedup"] < args.min_speedup:
         print(
             f"update_query_speedup {report['update_query_speedup']} "
@@ -193,7 +195,7 @@ def _cmd_updates(args) -> None:
 
 
 def _cmd_topk(args) -> None:
-    from repro.bench.topk_bench import render, run_topk_bench, write_report
+    from repro.bench.topk_bench import render, run_topk_bench
 
     report = run_topk_bench(
         universities=args.universities,
@@ -203,16 +205,11 @@ def _cmd_topk(args) -> None:
         max_scale_ratio=args.max_scale_ratio,
         bound_factor=args.bound_factor,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
 
 
 def _cmd_http(args) -> None:
-    from repro.bench.http_bench import render, run_http_bench, write_report
+    from repro.bench.http_bench import render, run_http_bench
 
     report = run_http_bench(
         universities=args.universities,
@@ -222,20 +219,11 @@ def _cmd_http(args) -> None:
         workers=args.workers,
         max_overhead=args.max_overhead,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
 
 
 def _cmd_cluster(args) -> None:
-    from repro.bench.cluster_bench import (
-        render,
-        run_cluster_bench,
-        write_report,
-    )
+    from repro.bench.cluster_bench import render, run_cluster_bench
     from repro.service.cluster.shm import shm_supported
 
     if not shm_supported():
@@ -251,20 +239,11 @@ def _cmd_cluster(args) -> None:
         p99_target_ms=args.p99_target,
         min_scaling=args.min_scaling,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
 
 
 def _cmd_shards(args) -> None:
-    from repro.bench.shards_bench import (
-        render,
-        run_shards_bench,
-        write_report,
-    )
+    from repro.bench.shards_bench import render, run_shards_bench
     from repro.service.cluster.shm import shm_supported
 
     skip_scaling = not shm_supported()
@@ -282,16 +261,11 @@ def _cmd_shards(args) -> None:
         min_speedup=args.min_speedup,
         skip_scaling=skip_scaling,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
 
 
 def _cmd_skew(args) -> None:
-    from repro.bench.skew_bench import render, run_skew_bench, write_report
+    from repro.bench.skew_bench import render, run_skew_bench
 
     report = run_skew_bench(
         hot_rows=args.hot_rows,
@@ -302,12 +276,7 @@ def _cmd_skew(args) -> None:
         seed=args.seed,
         min_speedup=args.min_speedup,
     )
-    print(render(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        sys.exit(1)
+    _emit(report, render, args.out)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -1,13 +1,14 @@
 """Cluster-tier benchmark: multi-process serving vs single-process.
 
 Starts a real :class:`~repro.service.cluster.ClusterQueryService` (the
-shared-memory segment store + pre-fork worker pool) behind its asyncio
-front door and drives the service benchmark's parameterized template
-family against a 1→N worker scaling curve:
+shared-memory segment store + pre-fork worker pool) as the backend of a
+:class:`~repro.service.http.SparqlHttpServer` and drives the service
+benchmark's parameterized template family against a 1→N worker scaling
+curve:
 
-* **correctness** — every cluster HTTP response (JSON *and* binary) is
-  compared **byte for byte** against the single-process
-  :class:`~repro.service.http.SparqlHttpServer` answering the same
+* **correctness** — every pool-backed HTTP response (JSON *and* binary)
+  is compared **byte for byte** against the same server class over an
+  in-process :class:`~repro.service.QueryService` answering the same
   request over the same store: same rows, same serialization, same
   page geometry. A mid-run ``/update`` round-trip must become visible
   on every worker and then restore.
@@ -35,7 +36,8 @@ import time
 import urllib.parse
 
 from repro.bench.http_bench import _Client, _sparql_path
-from repro.bench.service_bench import TEMPLATE, _percentile, _professors
+from repro.bench.report import percentile
+from repro.bench.service_bench import TEMPLATE, _professors
 from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.errors import SegmentAttachError, SegmentRetiredError
 from repro.lubm import generate_dataset
@@ -117,8 +119,8 @@ def _closed_loop_leg(
         "failures": len(failures),
         "wall_s": round(wall_s, 6),
         "throughput_rps": round(requests / wall_s, 2) if wall_s else 0.0,
-        "p50_ms": round(_percentile(latencies, 0.50), 4),
-        "p99_ms": round(_percentile(latencies, 0.99), 4),
+        "p50_ms": round(percentile(latencies, 0.50), 4),
+        "p99_ms": round(percentile(latencies, 0.99), 4),
     }
 
 
@@ -228,7 +230,7 @@ def run_cluster_bench(
     shutdown — plus the adaptive scaling/p99 gates described in the
     module docstring.
     """
-    from repro.service.cluster import ClusterHttpServer, ClusterQueryService
+    from repro.service.cluster import ClusterQueryService
 
     dataset = generate_dataset(universities=universities, seed=seed)
     store = dataset.store
@@ -252,7 +254,7 @@ def run_cluster_bench(
         with ClusterQueryService(
             store, engine=engine, workers=count, prefix=_PREFIX
         ) as cluster:
-            with ClusterHttpServer(cluster, port=0) as server:
+            with SparqlHttpServer(cluster, port=0) as server:
                 bodies = _collect_bodies(server.url, professors, formats)
                 identical = bodies == reference_bodies
                 byte_identical = byte_identical and identical
@@ -357,9 +359,3 @@ def render(report: dict) -> str:
         f"  ok: {report['ok']}",
     ]
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

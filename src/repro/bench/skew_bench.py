@@ -38,11 +38,11 @@ regime where plan quality is the latency.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
 
+from repro.bench.report import percentile
 from repro.core.config import OptimizationConfig
 from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.service.prepared import PreparedStatement
@@ -84,12 +84,6 @@ def _skewed_triples(
     return triples
 
 
-def _percentile(latencies: list[float], fraction: float) -> float:
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, round(fraction * (len(ordered) - 1)))
-    return ordered[index]
-
-
 @dataclass
 class _Leg:
     """One replay of the stream under a fixed engine config."""
@@ -106,11 +100,11 @@ class _Leg:
         return {
             "requests": len(self.latencies_ms),
             "total_s": round(self.total_s, 6),
-            "p50_ms": round(_percentile(self.latencies_ms, 0.50), 4),
-            "p95_ms": round(_percentile(self.latencies_ms, 0.95), 4),
-            "hot_p50_ms": round(_percentile(self.hot_ms, 0.50), 4),
-            "hot_p95_ms": round(_percentile(self.hot_ms, 0.95), 4),
-            "cold_p50_ms": round(_percentile(self.cold_ms, 0.50), 4),
+            "p50_ms": round(percentile(self.latencies_ms, 0.50), 4),
+            "p95_ms": round(percentile(self.latencies_ms, 0.95), 4),
+            "hot_p50_ms": round(percentile(self.hot_ms, 0.50), 4),
+            "hot_p95_ms": round(percentile(self.hot_ms, 0.95), 4),
+            "cold_p50_ms": round(percentile(self.cold_ms, 0.50), 4),
             "plans_retained": self.retained,
             "plans_reoptimized": self.reoptimized,
         }
@@ -187,8 +181,8 @@ def run_skew_bench(
 
     agrees = on.rows == off.rows
     both_paths_fired = on.reoptimized > 0 and on.retained > 0
-    on_hot_p50 = _percentile(on.hot_ms, 0.50) if on.hot_ms else 0.0
-    off_hot_p50 = _percentile(off.hot_ms, 0.50) if off.hot_ms else 0.0
+    on_hot_p50 = percentile(on.hot_ms, 0.50) if on.hot_ms else 0.0
+    off_hot_p50 = percentile(off.hot_ms, 0.50) if off.hot_ms else 0.0
     speedup = off_hot_p50 / on_hot_p50 if on_hot_p50 else 0.0
     return {
         "bench": "skew",
@@ -241,9 +235,3 @@ def render(report: dict) -> str:
             f"both paths fired: {report['both_paths_fired']}",
         ]
     )
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -1,7 +1,9 @@
 """Scatter transports: in-process shard engines or per-shard pools.
 
 Both transports answer the same three calls the
-:class:`~repro.distributed.engine.ShardedEngine` makes:
+:class:`~repro.distributed.engine.ShardedEngine` makes (``scatter`` is
+written once, on their shared base; what a fragment does on a shard is
+written once, in :func:`execute_fragment`, which pool workers run too):
 
 * ``execute(shard, query)`` — run one bound fragment on one shard and
   return its :class:`~repro.storage.relation.Relation`.
@@ -37,13 +39,45 @@ from repro.service.cluster.pool import WorkerPool
 from repro.storage.relation import Relation
 
 
-def _empty_result(query: ConjunctiveQuery) -> Relation:
-    return Relation.empty(
-        query.name, [variable.name for variable in query.projection]
-    )
+def _holds_tables(engine, query: ConjunctiveQuery) -> bool:
+    available = engine.store.table_names()
+    return all(atom.relation in available for atom in query.atoms)
 
 
-class LocalShardTransport:
+def execute_fragment(engine, query: ConjunctiveQuery) -> Relation:
+    """Run one bound fragment on one shard's engine.
+
+    A pattern over a predicate this shard holds no triples of matches
+    nothing here (it is not a schema error): the fragment's result is
+    empty, with the fragment's schema.
+    """
+    if not _holds_tables(engine, query):
+        return Relation.empty(
+            query.name, [variable.name for variable in query.projection]
+        )
+    return engine.execute_bound(query)
+
+
+class _ShardTransport:
+    """The fan-out both transports share (they bring ``execute`` and a
+    thread pool sized to their shards)."""
+
+    _executor: ThreadPoolExecutor
+
+    def scatter(
+        self, tasks: Sequence[tuple[int, ConjunctiveQuery]]
+    ) -> list[Relation]:
+        if len(tasks) == 1:
+            shard, query = tasks[0]
+            return [self.execute(shard, query)]
+        futures = [
+            self._executor.submit(self.execute, shard, query)
+            for shard, query in tasks
+        ]
+        return [future.result() for future in futures]
+
+
+class LocalShardTransport(_ShardTransport):
     """Per-shard engines in this process, scattered on threads."""
 
     kind = "local"
@@ -64,30 +98,8 @@ class LocalShardTransport:
             thread_name_prefix="repro-shard",
         )
 
-    def execute(
-        self,
-        shard: int,
-        query: ConjunctiveQuery,
-        *,
-        test_delay_s: float | None = None,
-    ) -> Relation:
-        engine = self.engines[shard]
-        available = engine.store.table_names()
-        if any(atom.relation not in available for atom in query.atoms):
-            return _empty_result(query)
-        return engine.execute_bound(query)
-
-    def scatter(
-        self, tasks: Sequence[tuple[int, ConjunctiveQuery]]
-    ) -> list[Relation]:
-        if len(tasks) == 1:
-            shard, query = tasks[0]
-            return [self.execute(shard, query)]
-        futures = [
-            self._executor.submit(self.execute, shard, query)
-            for shard, query in tasks
-        ]
-        return [future.result() for future in futures]
+    def execute(self, shard: int, query: ConjunctiveQuery) -> Relation:
+        return execute_fragment(self.engines[shard], query)
 
     def stream(
         self, shard: int, query: ConjunctiveQuery
@@ -99,20 +111,18 @@ class LocalShardTransport:
         pinned before this call returns.
         """
         engine = self.engines[shard]
-        available = engine.store.table_names()
-        if any(atom.relation not in available for atom in query.atoms):
-            return iter(())
-        engine.check_data_version()
-        stream = engine._execute_bound_iter(query)
-        if stream is None:
-            return iter([engine.execute_bound(query)])
-        return stream
+        if _holds_tables(engine, query):
+            engine.check_data_version()
+            stream = engine._execute_bound_iter(query)
+            if stream is not None:
+                return stream
+        return iter([execute_fragment(engine, query)])
 
     def close(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
 
 
-class PooledShardTransport:
+class PooledShardTransport(_ShardTransport):
     """One PR 8 worker pool per shard; fragments ride FRAGMENT frames."""
 
     kind = "pooled"
@@ -172,32 +182,13 @@ class PooledShardTransport:
         for pool in self.pools:
             pool.replicate(add, remove, known_tables)
 
-    def execute(
-        self,
-        shard: int,
-        query: ConjunctiveQuery,
-        *,
-        test_delay_s: float | None = None,
-    ) -> Relation:
+    def execute(self, shard: int, query: ConjunctiveQuery) -> Relation:
         payload: dict = {"query": query}
-        delay = test_delay_s if test_delay_s is not None else self.test_delay_s
-        if delay:
-            payload["test_delay_s"] = delay
+        if self.test_delay_s:
+            payload["test_delay_s"] = self.test_delay_s
         response = self.pools[shard].request(frames.FRAGMENT, payload)
         data = frames.unpack(response)
         return Relation(data["name"], data["attributes"], data["columns"])
-
-    def scatter(
-        self, tasks: Sequence[tuple[int, ConjunctiveQuery]]
-    ) -> list[Relation]:
-        if len(tasks) == 1:
-            shard, query = tasks[0]
-            return [self.execute(shard, query)]
-        futures = [
-            self._executor.submit(self.execute, shard, query)
-            for shard, query in tasks
-        ]
-        return [future.result() for future in futures]
 
     def stream(
         self, shard: int, query: ConjunctiveQuery
@@ -228,4 +219,8 @@ class PooledShardTransport:
         self.close()
 
 
-__all__ = ["LocalShardTransport", "PooledShardTransport"]
+__all__ = [
+    "LocalShardTransport",
+    "PooledShardTransport",
+    "execute_fragment",
+]

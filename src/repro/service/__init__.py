@@ -10,16 +10,16 @@ Layers, bottom up:
 
 * :mod:`repro.service.prepared` — :class:`PreparedStatement`, the unit
   of repeated work (parse/translate once, late-bind values per request);
+* :mod:`repro.service.protocol` — the one :class:`Session` and the
+  one :class:`Cursor`: the transport-ready protocol (open → execute →
+  fetch in pages → close) over a four-call backend;
 * :mod:`repro.service.query_service` — :class:`QueryService`, the
-  statement cache + concurrency + warming tier;
-* :mod:`repro.service.protocol` — :class:`Session`/:class:`Cursor`,
-  the transport-ready protocol (open → prepare → execute → fetch in
-  pages → close) every ``QueryService.execute*`` entry point now shims
-  over;
+  statement cache + concurrency + warming tier, and the in-process
+  backend (:mod:`repro.service.cluster` holds the worker-pool one);
 * :mod:`repro.service.formats` — streaming result serializers (SPARQL
   JSON, CSV/TSV, length-prefixed binary rows);
-* :mod:`repro.service.http` — the stdlib SPARQL-protocol HTTP endpoint
-  (:class:`SparqlHttpServer`).
+* :mod:`repro.service.http` — the one stdlib SPARQL-protocol HTTP
+  endpoint (:class:`SparqlHttpServer`), serving either backend.
 """
 
 from repro.service.formats import SERIALIZERS, serializer_for

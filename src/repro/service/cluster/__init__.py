@@ -1,4 +1,4 @@
-"""Multi-process serving tier: shared segments, workers, front door.
+"""Multi-process serving tier: shared segments, workers, a backend.
 
 The GIL serializes every hot loop that is not inside numpy, so one
 process cannot scale query serving past one core. This package is the
@@ -16,22 +16,22 @@ storage/engine/service stack:
   locally, and answers framed requests from its pipe. The pool health-
   checks workers, detects crashes, respawns replacements, and retries
   in-flight requests on siblings.
-* :mod:`repro.service.cluster.http` / ``service`` — an **async front
-  door**: :class:`ClusterQueryService` mirrors
-  :class:`~repro.service.QueryService`'s session/cursor semantics over
-  the pipe protocol (results ride the ``service/formats.py`` binary row
-  format), and :class:`ClusterHttpServer` is an ``asyncio`` accept loop
-  speaking the same SPARQL-protocol HTTP surface as the single-process
-  :class:`~repro.service.http.SparqlHttpServer`.
+* :mod:`repro.service.cluster.service` — the **backend**:
+  :class:`ClusterQueryService` answers the protocol layer's four calls
+  (:mod:`repro.service.protocol`) with frame exchanges (results ride
+  the ``service/formats.py`` binary row format), so the one
+  :class:`~repro.service.protocol.Session` /
+  :class:`~repro.service.protocol.Cursor` and the one
+  :class:`~repro.service.http.SparqlHttpServer` serve the pool exactly
+  as they serve an in-process :class:`~repro.service.QueryService`.
+  There is no second HTTP server: :data:`ClusterHttpServer` is a name
+  for ``SparqlHttpServer``, kept for callers written against the
+  earlier two-server layout.
 """
 
-from repro.service.cluster.http import ClusterHttpServer
 from repro.service.cluster.pool import WorkerPool
-from repro.service.cluster.service import (
-    ClusterCursor,
-    ClusterQueryService,
-    ClusterSession,
-)
+from repro.service.cluster.service import ClusterQueryService
+from repro.service.http import SparqlHttpServer as ClusterHttpServer
 from repro.service.cluster.shm import (
     SegmentPublisher,
     attach_snapshot,
@@ -42,10 +42,8 @@ from repro.service.cluster.shm import (
 )
 
 __all__ = [
-    "ClusterCursor",
     "ClusterHttpServer",
     "ClusterQueryService",
-    "ClusterSession",
     "SegmentPublisher",
     "WorkerPool",
     "attach_snapshot",

@@ -1,317 +1,54 @@
-"""`ClusterQueryService`: the `QueryService` surface over a worker pool.
+"""`ClusterQueryService`: the worker pool as a protocol backend.
 
-The in-process serving stack is ``QueryService`` → ``Session`` →
-``Cursor``; this module mirrors that surface on the *decoded* plane so
-callers (the cluster HTTP front door, benchmarks, tests) can swap the
-two without changing shape:
-
-* :class:`ClusterQueryService` — owns a
-  :class:`~repro.service.cluster.pool.WorkerPool`; ``execute_decoded``
-  / ``executemany`` / ``execute_concurrent`` / ``update`` / ``stats``
-  match the single-process service's signatures.
-* :class:`ClusterSession` — the protocol surface: bounded open
-  cursors (:class:`~repro.errors.CapacityError`), closed-session
-  checks, typed :class:`~repro.service.protocol.QueryRequest` /
-  :class:`~repro.service.protocol.UpdateRequest` messages.
-* :class:`ClusterCursor` — pages a result exactly like the in-process
-  :class:`~repro.service.protocol.Cursor` (same
-  :class:`~repro.service.protocol.Page` type, same
-  ``ParameterError`` / ``CursorExhaustedError`` / ``CursorClosedError``
-  semantics), and duck-types the surface the
-  :mod:`repro.service.formats` serializers read (``columns`` +
-  ``pages()``), so every wire format streams from it unchanged.
+The serving stack is one :class:`~repro.service.protocol.Session` /
+:class:`~repro.service.protocol.Cursor` over a backend (see
+:mod:`repro.service.protocol`); :class:`ClusterQueryService` is the
+multi-process one. It owns a
+:class:`~repro.service.cluster.pool.WorkerPool` and answers the four
+backend calls with frame exchanges, so callers (the HTTP server,
+benchmarks, tests) swap it for :class:`~repro.service.QueryService`
+without changing shape.
 
 One query is one frame exchange: the worker executes under its own
-session (deadlines enforced worker-side), serializes the result with
-the lossless ``SPB1`` binary rows, and the parent decodes them back to
-lexical terms — byte-identical to in-process decoding because both
-ends share the dictionary state by construction.
+in-process session (deadlines enforced worker-side), serializes the
+result with the lossless ``SPB1`` binary rows, and the parent decodes
+them back to lexical terms — byte-identical to in-process decoding
+because both ends share the dictionary state by construction.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 
-from repro.errors import (
-    CapacityError,
-    ConfigError,
-    CursorClosedError,
-    CursorExhaustedError,
-    ParameterError,
-    SessionClosedError,
-    UnknownCursorError,
-)
 from repro.service.cluster import frames
 from repro.service.cluster.pool import WorkerPool
 from repro.service.formats import read_binary
 from repro.service.protocol import (
-    DEFAULT_PAGE_SIZE,
-    Page,
     QueryRequest,
+    Session,
     UpdateRequest,
     UpdateResponse,
 )
 
 
-class ClusterCursor:
-    """Client-side pagination over one worker-answered result."""
+class _DecodedRows:
+    """Rows source over the decoded rows one worker reply carried."""
 
     def __init__(
-        self,
-        session: "ClusterSession",
-        cursor_id: int,
-        columns: tuple[str, ...],
-        rows: list[tuple[str | None, ...]],
-        page_size: int,
+        self, columns: tuple[str, ...], rows: list[tuple[str | None, ...]]
     ) -> None:
-        if page_size < 1:
-            raise ParameterError("cursor page_size must be >= 1")
-        self.session = session
-        self.cursor_id = cursor_id
-        self._columns = columns
+        self.columns = columns
+        self.num_rows = len(rows)
         self._rows = rows
-        self.page_size = page_size
-        self.position = 0
-        self.closed = False
-        self._done_served = False
+        self._position = 0
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self._columns
-
-    @property
-    def num_rows(self) -> int:
-        return len(self._rows)
-
-    def fetch(self, n: int | None = None) -> Page:
-        """The next ``n`` rows (default one page); mirrors ``Cursor``."""
-        if self.closed:
-            raise CursorClosedError(f"cursor {self.cursor_id} is closed")
-        if self._done_served:
-            raise CursorExhaustedError(
-                f"cursor {self.cursor_id} is exhausted (its final page "
-                "was already served)"
-            )
-        count = self.page_size if n is None else n
-        if count < 0:
-            raise ParameterError("fetch count must be non-negative")
-        start = self.position
-        stop = min(start + count, len(self._rows))
-        rows = tuple(self._rows[start:stop])
-        self.position = stop
-        done = self.position >= len(self._rows)
-        if done:
-            self._done_served = True
-        return Page(columns=self._columns, rows=rows, offset=start, done=done)
-
-    def fetch_all(self) -> list[tuple[str | None, ...]]:
-        rows: list[tuple[str | None, ...]] = []
-        while True:
-            page = self.fetch()
-            rows.extend(page.rows)
-            if page.done:
-                return rows
-
-    def pages(self):
-        while True:
-            page = self.fetch()
-            yield page
-            if page.done:
-                return
-
-    def __iter__(self):
-        for page in self.pages():
-            yield from page.rows
+    def take(self, n: int):
+        start = self._position
+        stop = self._position = min(start + n, self.num_rows)
+        return self._rows[start:stop], stop >= self.num_rows
 
     def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self.session._release(self.cursor_id)
-
-    def __enter__(self) -> "ClusterCursor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else f"at {self.position}"
-        return (
-            f"<ClusterCursor {self.cursor_id} rows={len(self._rows)} "
-            f"page={self.page_size} {state}>"
-        )
-
-
-class ClusterSession:
-    """One client's protocol context over the worker pool."""
-
-    def __init__(
-        self,
-        service: "ClusterQueryService",
-        *,
-        max_open_cursors: int = 64,
-        default_page_size: int = DEFAULT_PAGE_SIZE,
-        timeout_s: float | None = None,
-    ) -> None:
-        if max_open_cursors < 1:
-            raise ConfigError("Session max_open_cursors must be >= 1")
-        if default_page_size < 1:
-            raise ConfigError("Session default_page_size must be >= 1")
-        self.service = service
-        self.max_open_cursors = max_open_cursors
-        self.default_page_size = default_page_size
-        self.timeout_s = timeout_s
-        self.closed = False
-        self._cursors: dict[int, ClusterCursor] = {}
-        self._next_cursor = 0
-        self._lock = threading.RLock()
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise SessionClosedError("session is closed")
-
-    def execute(
-        self,
-        request: QueryRequest | str,
-        *,
-        parameters: Mapping | None = None,
-        page_size: int | None = None,
-        timeout_s: float | None = None,
-        name: str = "query",
-        stream: bool = False,
-    ) -> ClusterCursor:
-        """Route one query to a worker and open a cursor on its rows."""
-        if isinstance(request, str):
-            request = QueryRequest(
-                text=request,
-                parameters=dict(parameters or {}),
-                page_size=(
-                    page_size
-                    if page_size is not None
-                    else self.default_page_size
-                ),
-                timeout_s=(
-                    timeout_s if timeout_s is not None else self.timeout_s
-                ),
-                name=name,
-                stream=stream,
-            )
-        self._check_open()
-        if request.page_size < 1:
-            raise ParameterError("cursor page_size must be >= 1")
-        with self._lock:
-            if len(self._cursors) >= self.max_open_cursors:
-                raise CapacityError(
-                    f"session has {len(self._cursors)} open cursors "
-                    f"(max {self.max_open_cursors}); close some first"
-                )
-        effective_timeout = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.timeout_s
-        )
-        payload = {
-            "text": request.text,
-            "parameters": dict(request.parameters),
-            "page_size": request.page_size,
-            "timeout_s": effective_timeout,
-            "name": request.name,
-            "stream": request.stream,
-        }
-        if self.service.allow_test_hooks and "__test_delay_s" in payload[
-            "parameters"
-        ]:
-            payload["test_delay_s"] = payload["parameters"].pop(
-                "__test_delay_s"
-            )
-        body = self.service.pool.request(
-            frames.QUERY, payload, timeout_s=effective_timeout
-        )
-        columns, rows = read_binary(body)
-        with self._lock:
-            self._check_open()
-            if len(self._cursors) >= self.max_open_cursors:
-                raise CapacityError(
-                    f"session has {len(self._cursors)} open cursors "
-                    f"(max {self.max_open_cursors}); close some first"
-                )
-            self._next_cursor += 1
-            cursor = ClusterCursor(
-                self,
-                self._next_cursor,
-                tuple(columns),
-                rows,
-                request.page_size,
-            )
-            self._cursors[self._next_cursor] = cursor
-        return cursor
-
-    def cursor(self, cursor_id: int) -> ClusterCursor:
-        self._check_open()
-        with self._lock:
-            cursor = self._cursors.get(cursor_id)
-        if cursor is None:
-            raise UnknownCursorError(f"no open cursor with id {cursor_id}")
-        return cursor
-
-    def open_cursors(self) -> int:
-        with self._lock:
-            return len(self._cursors)
-
-    def _release(self, cursor_id: int) -> None:
-        with self._lock:
-            self._cursors.pop(cursor_id, None)
-
-    def explain(
-        self, text: str, parameters: Mapping | None = None
-    ) -> str:
-        self._check_open()
-        body = self.service.pool.request(
-            frames.EXPLAIN,
-            {"text": text, "parameters": dict(parameters or {})},
-        )
-        return frames.unpack(body)["text"]
-
-    def update(self, request: UpdateRequest) -> UpdateResponse:
-        """Apply a batch cluster-wide (parent store + every worker)."""
-        self._check_open()
-        result = self.service.pool.update(
-            add=request.add, remove=request.remove
-        )
-        return UpdateResponse(
-            added=result["added"],
-            removed=result["removed"],
-            data_version=result["data_version"],
-        )
-
-    def stats(self) -> dict:
-        self._check_open()
-        return self.service.stats()
-
-    def close(self) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            cursors = list(self._cursors.values())
-            self._cursors.clear()
-        for cursor in cursors:
-            cursor.closed = True
-
-    def __enter__(self) -> "ClusterSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return (
-            f"<ClusterSession {state} engine={self.service.engine!r} "
-            f"cursors={self.open_cursors()}/{self.max_open_cursors}>"
-        )
+        pass
 
 
 class ClusterQueryService:
@@ -368,75 +105,45 @@ class ClusterQueryService:
         self.close()
 
     # ------------------------------------------------------------------
-    def session(
-        self,
-        *,
-        max_open_cursors: int = 64,
-        default_page_size: int | None = None,
-        timeout_s: float | None = None,
-    ) -> ClusterSession:
-        """Open a protocol session (mirrors ``QueryService.session``)."""
-        return ClusterSession(
-            self,
-            max_open_cursors=max_open_cursors,
-            default_page_size=default_page_size or DEFAULT_PAGE_SIZE,
-            timeout_s=timeout_s,
-        )
-
-    def execute_decoded(
-        self,
-        text: str,
-        name: str = "query",
-        parameters: Mapping | None = None,
-    ) -> list[tuple[str | None, ...]]:
-        """One query, decoded rows (mirrors the in-process shim)."""
-        cursor = self.session().execute(
-            text, parameters=parameters or {}, name=name
-        )
-        try:
-            return cursor.fetch_all()
-        finally:
-            cursor.close()
-
-    def executemany(
-        self, text: str, param_rows
-    ) -> list[list[tuple[str | None, ...]]]:
-        """One template over a batch of parameter rows, in order."""
-        return [
-            self.execute_decoded(text, parameters=row) for row in param_rows
-        ]
-
-    def execute_concurrent(
-        self, requests: Sequence, max_workers: int = 4
-    ) -> list[list[tuple[str | None, ...]]]:
-        """A request batch fanned across the pool, in input order.
-
-        Unlike the single-process service (where threads contend on
-        the GIL), concurrent requests here land on *different worker
-        processes* — this is the entry point the saturation benchmark
-        drives.
-        """
-        if max_workers < 1:
-            raise ConfigError("execute_concurrent max_workers must be >= 1")
-
-        def run(request):
-            if isinstance(request, str):
-                return self.execute_decoded(request)
-            text, parameters = request
-            return self.execute_decoded(text, parameters=parameters)
-
-        if len(requests) <= 1 or max_workers == 1:
-            return [run(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, requests))
+    # The protocol backend (what a Session drives)
+    # ------------------------------------------------------------------
+    def run(self, request: QueryRequest, timeout_s: float | None = None):
+        """Route one query to a worker; a rows source over its reply."""
+        payload = {
+            "text": request.text,
+            "parameters": dict(request.parameters),
+            "page_size": request.page_size,
+            "timeout_s": timeout_s,
+            "name": request.name,
+            "stream": request.stream,
+        }
+        if self.allow_test_hooks and "__test_delay_s" in payload[
+            "parameters"
+        ]:
+            payload["test_delay_s"] = payload["parameters"].pop(
+                "__test_delay_s"
+            )
+        body = self.pool.request(frames.QUERY, payload, timeout_s=timeout_s)
+        columns, rows = read_binary(body)
+        return _DecodedRows(tuple(columns), rows)
 
     def update(self, request: UpdateRequest) -> UpdateResponse:
-        return self.session().update(request)
+        """Apply a batch cluster-wide (parent store + every worker)."""
+        result = self.pool.update(add=request.add, remove=request.remove)
+        return UpdateResponse(
+            added=result["added"],
+            removed=result["removed"],
+            data_version=result["data_version"],
+        )
 
     def explain(
         self, text: str, parameters: Mapping | None = None
     ) -> str:
-        return self.session().explain(text, parameters)
+        body = self.pool.request(
+            frames.EXPLAIN,
+            {"text": text, "parameters": dict(parameters or {})},
+        )
+        return frames.unpack(body)["text"]
 
     def stats(self) -> dict:
         """Store counters plus the aggregated ``cluster`` section."""
@@ -449,6 +156,30 @@ class ClusterQueryService:
             "cluster": self.pool.stats(),
         }
 
+    #: The backend call's name (``QueryService.stats`` is a counters
+    #: attribute, so the shared call cannot be spelled ``stats``).
+    stats_payload = stats
+
+    def workers(self) -> tuple[int, int | None]:
+        """``(live, configured)`` worker processes."""
+        return self.pool.worker_count(), self.pool.workers
+
+    # ------------------------------------------------------------------
+    def session(self, **options) -> Session:
+        """Open a protocol session over the pool (``options`` are the
+        session's own keywords; mirrors ``QueryService.session``)."""
+        return Session(self, **options)
+
+    def execute_decoded(
+        self,
+        text: str,
+        name: str = "query",
+        parameters: Mapping | None = None,
+    ) -> list[tuple[str | None, ...]]:
+        """One query, decoded rows (mirrors the in-process shim)."""
+        rows = self.run(QueryRequest(text, parameters or {}, name=name))
+        return rows.take(rows.num_rows)[0]
+
     def __repr__(self) -> str:
         return (
             f"<ClusterQueryService engine={self.engine!r} "
@@ -456,4 +187,4 @@ class ClusterQueryService:
         )
 
 
-__all__ = ["ClusterCursor", "ClusterQueryService", "ClusterSession"]
+__all__ = ["ClusterQueryService"]

@@ -41,7 +41,6 @@ from repro.service.cluster.shm import attach_snapshot, detach
 from repro.service.formats import SERIALIZERS
 from repro.service.protocol import QueryRequest, UpdateRequest
 from repro.service.query_service import QueryService
-from repro.storage.relation import Relation
 from repro.storage.vertical import VerticallyPartitionedStore
 
 #: One replayed update batch: string triples to add and to remove.
@@ -167,15 +166,9 @@ def _handle_fragment(state: _WorkerState, payload: dict) -> dict:
         # Same fault-injection window as _handle_query: the parent
         # kills this process here to exercise mid-scatter crash retry.
         time.sleep(float(payload["test_delay_s"]))
-    query = payload["query"]
-    engine = state.service.engine
-    available = engine.store.table_names()
-    if any(atom.relation not in available for atom in query.atoms):
-        result = Relation.empty(
-            query.name, [v.name for v in query.projection]
-        )
-    else:
-        result = engine.execute_bound(query)
+    from repro.distributed.transport import execute_fragment
+
+    result = execute_fragment(state.service.engine, payload["query"])
     return {
         "name": result.name,
         "attributes": list(result.attributes),
@@ -211,6 +204,7 @@ def _handle_explain(state: _WorkerState, payload: dict) -> dict:
 def worker_main(conn, config: WorkerConfig) -> None:
     """Child process entry point: attach, catch up, serve frames."""
     segment = None
+    service = None
     session = None
     try:
         try:
@@ -251,6 +245,8 @@ def worker_main(conn, config: WorkerConfig) -> None:
     finally:
         if session is not None:
             session.close()
+        if service is not None:
+            service.close()
         if segment is not None:
             detach(segment)
 

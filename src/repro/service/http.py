@@ -1,12 +1,16 @@
 """SPARQL-Protocol-style HTTP front-end (stdlib only).
 
 The network boundary the RDF-store literature treats as what makes an
-engine a *store*: a :class:`SparqlHttpServer` is a
-``http.server.ThreadingHTTPServer`` speaking a SPARQL-1.1-Protocol-style
-interface over one shared protocol :class:`~repro.service.protocol.Session`
-(and through it the :class:`~repro.service.QueryService` statement/plan
-caches), so every HTTP client rides the same prepared-statement serving
-path as in-process callers.
+engine a *store*, and the repo's only HTTP server: a
+:class:`SparqlHttpServer` is a ``http.server.ThreadingHTTPServer``
+speaking a SPARQL-1.1-Protocol-style interface over one shared protocol
+:class:`~repro.service.protocol.Session`, so every HTTP client rides the
+same serving path as in-process callers. The session's backend decides
+where queries run: a :class:`~repro.service.QueryService` (this process,
+plain or sharded engine) or a
+:class:`~repro.service.cluster.ClusterQueryService` (the worker pool —
+the handler thread exchanges one frame pair with a worker and only
+serializes pages onto the socket).
 
 Endpoints
 ---------
@@ -36,10 +40,13 @@ Concurrency and failure model
 ``max_pending`` bounds admitted requests over their **whole life**
 (execution and response streaming) — past it the server answers ``503``
 with code ``capacity`` instead of queueing unboundedly — and at most
-``max_workers`` engine executions run concurrently. Deadlines
-(``timeout`` per request, or a server-wide default) are enforced by the
-shared session; a timed-out execution finishes in the background with
-its result discarded, never registering a cursor. Template parameters
+``max_workers`` executions run concurrently. Deadlines (``timeout`` per
+request, or a server-wide default) are handed to the backend by the
+shared session; a timed-out execution never registers a cursor. Request
+bodies are outside input: a malformed, negative or over-cap
+``Content-Length`` and a body that is not UTF-8 are ``400 parse_error``
+(the first three also close the connection, since the body's end is
+unknown or not worth reading). Template parameters
 arrive as strings; bare numeric values are coerced to numbers (the
 in-process value-matching semantics — quote a value, ``"30"``, to mean
 the string literal). Every error is a JSON body
@@ -72,12 +79,16 @@ from repro.service.formats import serializer_for
 from repro.service.protocol import (
     DEFAULT_PAGE_SIZE,
     QueryRequest,
+    Session,
     UpdateRequest,
 )
 from repro.service.query_service import QueryService
 
 #: Upper bound a client may set ``page_size`` to.
 MAX_PAGE_SIZE = 100_000
+
+#: Largest accepted request body (updates; query texts are small).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Reserved request parameters (everything ``$``-prefixed is a template
 #: parameter; anything else is rejected so typos fail loudly).
@@ -193,11 +204,7 @@ def _parse_query_request(
 
 
 def parse_update_payload(body: bytes) -> UpdateRequest:
-    """Validate a ``POST /update`` JSON body into an ``UpdateRequest``.
-
-    Shared by both HTTP tiers so a malformed body gets the same 400
-    from the single-process server and the cluster front door.
-    """
+    """Validate a ``POST /update`` JSON body into an ``UpdateRequest``."""
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -227,15 +234,6 @@ def parse_update_payload(body: bytes) -> UpdateRequest:
     return UpdateRequest(add=triples("add"), remove=triples("remove"))
 
 
-#: Public names for the request parsers — the cluster front door
-#: (:mod:`repro.service.cluster.http`) reuses them so both tiers accept
-#: the exact same wire parameters.
-parse_query_request = _parse_query_request
-template_parameters = _template_parameters
-single_param = _single
-RESERVED_PARAMS = _RESERVED_PARAMS
-
-
 class _Handler(BaseHTTPRequestHandler):
     """One HTTP request (ThreadingHTTPServer gives it its own thread)."""
 
@@ -254,6 +252,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -372,26 +372,45 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_payload(exc)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        # A length this handler cannot trust leaves the body's end
+        # unknown (or not worth reading): answer, then drop the
+        # connection instead of parsing body bytes as the next request.
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise ParseError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        # int() refuses strings of thousands of digits; any length that
+        # long is over the cap anyway.
+        length = int(raw) if len(raw) <= 18 else MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ParseError(
+                f"request body too large ({raw} bytes; the limit is "
+                f"{MAX_BODY_BYTES})"
+            )
         return self.rfile.read(length) if length else b""
+
+    def _read_text(self) -> str:
+        try:
+            return self._read_body().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"request body is not valid UTF-8: {exc}")
 
     def _merge_post_params(self, params: dict[str, list[str]]) -> None:
         """Fold the POST body into the URL parameters (SPARQL protocol:
         form-encoded fields, or a raw ``application/sparql-query``)."""
-        body = self._read_body()
+        body = self._read_text()
         if not body:
             return
         content_type = (self.headers.get("Content-Type") or "").split(";")[
             0
         ].strip().lower()
         if content_type == "application/sparql-query":
-            params.setdefault("query", []).append(
-                body.decode("utf-8")
-            )
+            params.setdefault("query", []).append(body)
             return
-        for name, values in parse_qs(
-            body.decode("utf-8"), keep_blank_values=True
-        ).items():
+        for name, values in parse_qs(body, keep_blank_values=True).items():
             params.setdefault(name, []).extend(values)
 
     # ------------------------------------------------------------------
@@ -445,10 +464,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class SparqlHttpServer(ThreadingHTTPServer):
-    """A SPARQL-protocol endpoint over one :class:`QueryService`.
+    """A SPARQL-protocol endpoint over one backend.
 
-    ``max_workers`` sizes the execution pool the handler threads
-    multiplex onto (the same bounded-concurrency model as
+    ``service`` is a :class:`QueryService` or a started
+    :class:`~repro.service.cluster.ClusterQueryService` (anything
+    answering the four backend calls of :mod:`repro.service.protocol`
+    plus ``workers()``). ``max_workers`` bounds the executions the
+    handler threads run at once (the same bounded-concurrency model as
     ``QueryService.execute_concurrent``); ``max_pending`` bounds
     admitted-but-unfinished requests before ``503 capacity``.
     Use as a context manager or call :meth:`start` / :meth:`stop`::
@@ -461,7 +483,7 @@ class SparqlHttpServer(ThreadingHTTPServer):
 
     def __init__(
         self,
-        service: QueryService,
+        service,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -473,10 +495,10 @@ class SparqlHttpServer(ThreadingHTTPServer):
     ) -> None:
         super().__init__((host, port), _Handler)
         self.service = service
-        self.session = service.session(
+        self.session = Session(
+            service,
             max_open_cursors=max(max_pending * 2, 16),
             timeout_s=timeout_s,
-            deadline_workers=max_workers,
         )
         self.page_size = page_size
         self.verbose = verbose
@@ -520,15 +542,15 @@ class SparqlHttpServer(ThreadingHTTPServer):
             self._admitted.release()
 
     def execute(self, request: QueryRequest):
-        """Run one admitted query under the engine-concurrency bound.
+        """Run one admitted query under the execution-concurrency bound.
 
         At most ``max_workers`` executions run at once — many HTTP
         clients multiplex onto the same thread-safe serving path a
-        ``QueryService.execute_concurrent`` batch uses. Deadlines are
-        the session's own machinery (``timeout`` on the request, or
-        the server-wide default passed at construction): on a timeout
-        no cursor is ever registered, so an abandoned execution cannot
-        pin a session slot.
+        ``QueryService.execute_concurrent`` batch uses. Deadlines
+        (``timeout`` on the request, or the server-wide default passed
+        at construction) go to the backend through the session: on a
+        timeout no cursor is ever registered, so an abandoned execution
+        cannot pin a session slot.
         """
         with self._exec_slots:
             return self.session.execute(request)
@@ -552,6 +574,7 @@ class SparqlHttpServer(ThreadingHTTPServer):
 
     def http_stats(self) -> dict:
         """Connection, keep-alive and admission-pool counters."""
+        worker_count, configured = self.service.workers()
         with self._http_lock:
             return {
                 "connections": {
@@ -566,19 +589,20 @@ class SparqlHttpServer(ThreadingHTTPServer):
                     "keepalive_reuses": self._keepalive_reuses,
                 },
                 "pool": {
-                    "max_workers": self.max_workers,
+                    # A backend with its own worker bound (the pool)
+                    # reports that; in-process the bound is this
+                    # server's execution slots.
+                    "max_workers": configured or self.max_workers,
                     "max_pending": self.max_pending,
                     "in_flight": self._in_flight,
                     "in_flight_peak": self._in_flight_peak,
-                    # Single-process tier: all work happens in this one
-                    # process (the cluster tier reports its real count).
-                    "worker_count": 1,
+                    "worker_count": worker_count,
                 },
             }
 
     def stats_payload(self) -> dict:
         """The ``/stats`` body: session/store counters plus ``http``."""
-        payload = dict(self.session.stats())
+        payload = self.session.stats()
         payload["http"] = self.http_stats()
         return payload
 
@@ -660,12 +684,9 @@ if __name__ == "__main__":
 
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "MAX_PAGE_SIZE",
-    "RESERVED_PARAMS",
     "SparqlHttpServer",
     "main",
-    "parse_query_request",
     "parse_update_payload",
-    "single_param",
-    "template_parameters",
 ]

@@ -2,34 +2,47 @@
 
 This module is the serving tier's *protocol layer* — the API a network
 front-end (or an embedding application) drives, shaped like the wire
-protocols real RDF stores speak: **open → prepare → execute → fetch in
-pages → close**. It sits directly over :class:`~repro.service.QueryService`
-(which owns the statement/plan caches) and adds what a transport needs:
+protocols real RDF stores speak: **open → execute → fetch in pages →
+close**. It holds the only :class:`Session` and the only
+:class:`Cursor`; where a query's rows come from is the business of a
+**backend**, which the session drives through four calls:
 
-* :class:`Session` — one client's context: prepares statements, opens
-  cursors, bounds how many may be open (:class:`~repro.errors.CapacityError`),
-  enforces per-request deadlines (:class:`~repro.errors.QueryTimeoutError`),
-  and applies update batches through the store's delta path. Sessions
-  are thread-safe; one session may serve many transport threads.
-* :class:`Cursor` — a streaming read of one executed query. The cursor
-  pages the *encoded* result — either a materialized relation or, with
-  ``QueryRequest(stream=True)``, the engine's live result iterator
-  (:meth:`~repro.engines.base.Engine.execute_bound_iter`), which for a
-  streaming-capable engine stops enumerating once the client stops
-  fetching. Both feeds are pinned to the epoch observed at execute time
-  (engines capture their structure snapshot eagerly), so a store update
-  mid-stream cannot tear pagination. Rows decode one fixed-size
-  :class:`Page` at a time through
-  :meth:`~repro.engines.base.Engine.decode_rows`, so a client paging a
-  large result never materializes the whole decoded row list.
+``run(request, timeout_s)``
+    Execute one :class:`QueryRequest` under a deadline and return a
+    *rows source*: ``columns`` (projected names), ``num_rows`` (the
+    total, or ``None`` when rows are produced lazily),
+    ``take(n) -> (rows, done)`` (the next at most ``n`` decoded rows
+    and whether the source is now exhausted) and ``close()``.
+``update(request)``
+    Apply an :class:`UpdateRequest`, return an :class:`UpdateResponse`.
+``explain(text, parameters)``
+    The plan description for a query text.
+``stats_payload()``
+    The ``/stats`` body (named apart from ``QueryService.stats``, the
+    in-process service's counters attribute).
+
+Two backends implement them: :class:`~repro.service.QueryService`
+(in-process, over a plain engine or a sharded one — sources decode
+page-wise from the encoded result or the engine's live iterator, pinned
+to the epoch observed at execute time) and
+:class:`~repro.service.cluster.ClusterQueryService` (one frame exchange
+with the worker pool; the source pages the decoded rows the reply
+carried). Everything else is written once, here:
+
+* :class:`Session` — one client's context: open/closed checks, cursor
+  ids, the reserve-before-execute bound on open cursors
+  (:class:`~repro.errors.CapacityError`), default page size and
+  deadline merging. Sessions are thread-safe; one session may serve
+  many transport threads.
+* :class:`Cursor` — paging over a rows source: one fixed-size
+  :class:`Page` per fetch, so a client paging a large result never
+  materializes the whole decoded row list, with the typed
+  ``ParameterError`` / ``CursorExhaustedError`` / ``CursorClosedError``
+  contract.
 * Typed request/response messages — :class:`QueryRequest`,
   :class:`UpdateRequest`/:class:`UpdateResponse` — the structured form
   the HTTP front-end parses into, with every failure mapped onto the
   stable error taxonomy of :mod:`repro.errors`.
-
-Every legacy ``QueryService.execute*`` entry point is a thin shim over
-this layer (see :meth:`QueryService.session`), so in-process callers
-and network clients exercise the same path.
 
 Example::
 
@@ -49,31 +62,19 @@ from __future__ import annotations
 import itertools
 import threading
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.query import ParameterValue
 from repro.errors import (
-    BindingError,
     CapacityError,
     ConfigError,
     CursorClosedError,
     CursorExhaustedError,
     ParameterError,
-    ParseError,
-    PlanningError,
-    QueryTimeoutError,
     SessionClosedError,
     SessionError,
     UnknownCursorError,
 )
-from repro.service.prepared import PreparedStatement
-from repro.storage.relation import Relation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.service.query_service import QueryService
 
 #: Default rows per fetched page.
 DEFAULT_PAGE_SIZE = 256
@@ -126,16 +127,17 @@ class Page:
 
 
 class Cursor:
-    """A streaming read over one executed query's result.
+    """A paged read over one executed query's rows source.
 
-    A materialized cursor snapshots the dictionary-encoded result
-    relation at execution time; fetches decode successive fixed-size
-    pages from it. A *streaming* cursor (``QueryRequest(stream=True)``)
-    instead pulls encoded chunks from the engine's live result iterator
-    on demand — the engine pinned its structure snapshot when the
-    iterator was created, so both kinds page one consistent epoch.
-    Store updates after execution do not disturb an open cursor; they
-    only affect the *next* execute.
+    The source is whatever the session's backend returned from ``run``
+    (see the module docstring): the cursor only counts rows, cuts them
+    into :class:`Page` objects and enforces the fetch contract. A source
+    that knows its row count is materialized; one that does not
+    (``num_rows is None``) is *streaming* — it produces rows on demand
+    and stops producing when the client stops fetching. Either way the
+    rows belong to the epoch observed at execute time: store updates
+    after execution do not disturb an open cursor; they only affect the
+    *next* execute.
 
     Parameter misuse raises typed taxonomy errors: a non-positive
     ``page_size`` or negative fetch count is a
@@ -145,45 +147,27 @@ class Cursor:
     """
 
     def __init__(
-        self,
-        session: "Session",
-        cursor_id: int,
-        relation: Relation | None,
-        page_size: int,
-        *,
-        stream: Iterator[Relation] | None = None,
-        columns: tuple[str, ...] | None = None,
+        self, session: "Session", cursor_id: int, rows, page_size: int
     ) -> None:
         if page_size < 1:
             raise ParameterError("cursor page_size must be >= 1")
-        if (relation is None) == (stream is None):
-            raise ConfigError(
-                "a cursor needs exactly one of relation or stream"
-            )
         self.session = session
         self.cursor_id = cursor_id
-        self.relation = relation
         self.page_size = page_size
         self.position = 0
         self.closed = False
-        self._stream = stream
-        self._chunk: Relation | None = None
-        self._chunk_pos = 0
-        self._stream_done = stream is None
+        self._rows = rows
         self._done_served = False
-        self._columns = (
-            relation.attributes if relation is not None else tuple(columns)
-        )
 
     @property
     def streaming(self) -> bool:
-        """Whether rows are pulled lazily from the engine iterator."""
-        return self._stream is not None
+        """Whether rows are produced lazily as pages are fetched."""
+        return self._rows.num_rows is None
 
     @property
     def columns(self) -> tuple[str, ...]:
         """The projected variable names, in SELECT order."""
-        return self._columns
+        return self._rows.columns
 
     @property
     def num_rows(self) -> int:
@@ -194,8 +178,9 @@ class Cursor:
         :class:`~repro.errors.SessionError`. Once the final page was
         served the count of streamed rows is returned.
         """
-        if self.relation is not None:
-            return self.relation.num_rows
+        total = self._rows.num_rows
+        if total is not None:
+            return total
         if not self._done_served:
             raise SessionError(
                 f"cursor {self.cursor_id} is streaming: its row count "
@@ -203,26 +188,8 @@ class Cursor:
             )
         return self.position
 
-    def _current_chunk(self) -> Relation | None:
-        """The chunk holding the next undecoded row (pulls as needed)."""
-        while True:
-            if (
-                self._chunk is not None
-                and self._chunk_pos < self._chunk.num_rows
-            ):
-                return self._chunk
-            self._chunk = None
-            self._chunk_pos = 0
-            if self._stream_done:
-                return None
-            try:
-                self._chunk = next(self._stream)
-            except StopIteration:
-                self._stream_done = True
-                return None
-
     def fetch(self, n: int | None = None) -> Page:
-        """Decode and return the next ``n`` rows (default: one page).
+        """Return the next ``n`` rows (default: one page).
 
         The page that exhausts the result is marked ``done``; fetching
         *again* after it raises
@@ -241,28 +208,9 @@ class Cursor:
         count = self.page_size if n is None else n
         if count < 0:
             raise ParameterError("fetch count must be non-negative")
-        engine = self.session.service.engine
         start = self.position
-        if self.relation is not None:
-            stop = min(start + count, self.relation.num_rows)
-            rows = engine.decode_rows(self.relation, start, stop)
-            self.position = stop
-            done = self.position >= self.relation.num_rows
-        else:
-            rows = []
-            while len(rows) < count:
-                chunk = self._current_chunk()
-                if chunk is None:
-                    break
-                take = min(count - len(rows), chunk.num_rows - self._chunk_pos)
-                rows.extend(
-                    engine.decode_rows(
-                        chunk, self._chunk_pos, self._chunk_pos + take
-                    )
-                )
-                self._chunk_pos += take
-            self.position = start + len(rows)
-            done = self._current_chunk() is None
+        rows, done = self._rows.take(count)
+        self.position = start + len(rows)
         if done:
             self._done_served = True
         return Page(
@@ -293,22 +241,12 @@ class Cursor:
         for page in self.pages():
             yield from page.rows
 
-    def _drop_stream(self) -> None:
-        """Close the underlying engine iterator (stops its enumeration)."""
-        stream = self._stream
-        self._stream = None
-        self._chunk = None
-        self._stream_done = True
-        if stream is not None:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-
     def close(self) -> None:
-        """Release the cursor's session slot (idempotent)."""
+        """Close the rows source and release the session slot
+        (idempotent)."""
         if not self.closed:
             self.closed = True
-            self._drop_stream()
+            self._rows.close()
             self.session._release(self.cursor_id)
 
     def __enter__(self) -> "Cursor":
@@ -319,9 +257,7 @@ class Cursor:
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"at {self.position}"
-        rows = (
-            self.relation.num_rows if self.relation is not None else "?"
-        )
+        rows = "?" if self.streaming else self._rows.num_rows
         return (
             f"<Cursor {self.cursor_id} rows={rows} "
             f"page={self.page_size} {state}>"
@@ -329,85 +265,44 @@ class Cursor:
 
 
 class Session:
-    """One client's protocol context over a :class:`QueryService`.
+    """One client's protocol context over a backend.
 
     Thread-safe: the HTTP front-end shares one session across all its
     handler threads. ``max_open_cursors`` bounds unfetched results a
     client may pin (:class:`~repro.errors.CapacityError` past it);
-    ``timeout_s`` (per request or session-wide) bounds execution wall
-    time (:class:`~repro.errors.QueryTimeoutError` — the worker thread
-    finishes in the background, Python cannot preempt it).
+    ``timeout_s`` (per request or session-wide) is the deadline handed
+    to the backend's ``run`` (:class:`~repro.errors.QueryTimeoutError`).
     """
 
     def __init__(
         self,
-        service: "QueryService",
+        backend,
         *,
         max_open_cursors: int = 64,
         default_page_size: int = DEFAULT_PAGE_SIZE,
         timeout_s: float | None = None,
-        deadline_workers: int = 4,
     ) -> None:
         if max_open_cursors < 1:
             raise ConfigError("Session max_open_cursors must be >= 1")
         if default_page_size < 1:
             raise ConfigError("Session default_page_size must be >= 1")
-        if deadline_workers < 1:
-            raise ConfigError("Session deadline_workers must be >= 1")
-        self.service = service
+        self.backend = backend
         self.max_open_cursors = max_open_cursors
         self.default_page_size = default_page_size
         self.timeout_s = timeout_s
-        self.deadline_workers = deadline_workers
         self.closed = False
         self._cursors: dict[int, Cursor] = {}
         self._reserved = 0  # in-flight executes holding a cursor slot
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
-        self._timeout_pool: ThreadPoolExecutor | None = None
 
-    # ------------------------------------------------------------------
-    # Statement lifecycle
-    # ------------------------------------------------------------------
     def _check_open(self) -> None:
         if self.closed:
             raise SessionClosedError("session is closed")
 
-    def prepare(self, text: str, name: str = "query") -> PreparedStatement:
-        """The (service-cached) prepared statement for a template text."""
-        self._check_open()
-        return self.service.prepare(text, name=name)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run_with_deadline(
-        self, statement: PreparedStatement, values: Mapping, timeout_s
-    ) -> Relation:
-        """Execute, abandoning the wait at ``timeout_s``.
-
-        Python cannot preempt the worker — on a timeout it finishes in
-        the background and its (never-registered) result is discarded;
-        only the caller's wait is bounded.
-        """
-        if timeout_s is None:
-            return statement.execute(**values)
-        with self._lock:
-            if self._timeout_pool is None:
-                self._timeout_pool = ThreadPoolExecutor(
-                    max_workers=self.deadline_workers,
-                    thread_name_prefix="repro-deadline",
-                )
-            pool = self._timeout_pool
-        future = pool.submit(statement.execute, **values)
-        try:
-            return future.result(timeout=timeout_s)
-        except _FutureTimeout:
-            future.cancel()
-            raise QueryTimeoutError(
-                f"query exceeded its {timeout_s:g}s deadline"
-            ) from None
-
     def execute(
         self,
         request: QueryRequest | str,
@@ -418,13 +313,13 @@ class Session:
         name: str = "query",
         stream: bool = False,
     ) -> Cursor:
-        """Prepare (cached), execute, and open a cursor over the rows.
+        """Run one query on the backend and open a cursor over its rows.
 
         Accepts either a :class:`QueryRequest` or a bare text plus
-        keyword options. With ``stream=True`` the cursor pulls pages
-        from the engine's live result iterator (top-k short-circuit;
-        see :class:`QueryRequest.stream` for the deadline caveat).
-        Failures surface as taxonomy errors: bad
+        keyword options. With ``stream=True`` an in-process backend
+        feeds the cursor from the engine's live result iterator (top-k
+        short-circuit; see :class:`QueryRequest.stream` for the deadline
+        caveat). Failures surface as taxonomy errors: bad
         syntax → :class:`~repro.errors.ParseError` /
         :class:`~repro.errors.TranslationError`; parameter mismatches →
         :class:`~repro.errors.ParameterError`; a well-formed query the
@@ -439,13 +334,13 @@ class Session:
                     if page_size is not None
                     else self.default_page_size
                 ),
-                timeout_s=(
-                    timeout_s if timeout_s is not None else self.timeout_s
-                ),
+                timeout_s=timeout_s,
                 name=name,
                 stream=stream,
             )
         self._check_open()
+        if request.page_size < 1:
+            raise ParameterError("cursor page_size must be >= 1")
         # Reserve the cursor slot *before* executing: at the bound the
         # request fails fast instead of running the full query and then
         # discarding the result (and two racing requests cannot both
@@ -458,78 +353,30 @@ class Session:
                     f"(max {self.max_open_cursors}); close some first"
                 )
             self._reserved += 1
-        # The session-wide default applies whichever way the request
-        # came in (bare text merged it above; a typed QueryRequest
-        # carries None unless the caller set its own deadline).
-        timeout_s = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.timeout_s
-        )
         try:
-            statement = self.prepare(request.text, name=request.name)
-            relation: Relation | None = None
-            result_stream = None
-            try:
-                if request.stream:
-                    # Streaming setup is eager (binding, validation,
-                    # epoch capture) but cheap; the join work it defers
-                    # into fetches is outside the deadline's reach.
-                    result_stream = statement.execute_iter(
-                        **request.parameters
-                    )
-                else:
-                    relation = self._run_with_deadline(
-                        statement, request.parameters, timeout_s
-                    )
-            except (ParseError, ParameterError):
-                raise
-            except PlanningError as exc:
-                # The text parsed and translated, so a planning
-                # rejection is the request's fault (not a library bug):
-                # report it in the 400 family.
-                raise BindingError(str(exc)) from exc
+            rows = self.backend.run(
+                request,
+                request.timeout_s
+                if request.timeout_s is not None
+                else self.timeout_s,
+            )
             try:
                 with self._lock:
                     self._check_open()
                     cursor_id = next(self._ids)
                     cursor = Cursor(
-                        self,
-                        cursor_id,
-                        relation,
-                        request.page_size,
-                        stream=result_stream,
-                        columns=tuple(
-                            v.name for v in statement.query.projection
-                        ),
+                        self, cursor_id, rows, request.page_size
                     )
                     self._cursors[cursor_id] = cursor
             except BaseException:
-                # Don't leave a rejected request's engine iterator
-                # enumerating in limbo.
-                close = getattr(result_stream, "close", None)
-                if close is not None:
-                    close()
+                # Don't leave a rejected request's rows source (a live
+                # engine iterator, in-process) enumerating in limbo.
+                rows.close()
                 raise
         finally:
             with self._lock:
                 self._reserved -= 1
-        self.service._note_execution()
         return cursor
-
-    def executemany(
-        self,
-        text: str,
-        param_rows,
-        name: str = "query",
-    ) -> list[Relation]:
-        """One template over a batch of parameter rows (in order)."""
-        self._check_open()
-        statement = self.prepare(text, name=name)
-        results = statement.executemany(param_rows)
-        for _ in results:
-            self.service._note_execution()
-        return results
 
     # ------------------------------------------------------------------
     # Cursor bookkeeping
@@ -561,64 +408,26 @@ class Session:
         text: str,
         parameters: Mapping[str, ParameterValue] | None = None,
     ) -> str:
-        """The engine's plan description for a query text.
+        """The backend's plan description for a query text.
 
-        Engines with a GHD planner render the decomposition tree;
-        others answer with their name (they plan per execution). A
-        ``$name`` template needs its ``parameters`` supplied, exactly
+        A ``$name`` template needs its ``parameters`` supplied, exactly
         like execution.
         """
         self._check_open()
-        explain = getattr(self.service.engine, "explain_sparql", None)
-        if explain is None:
-            return (
-                f"engine {self.service.engine.name!r} plans per "
-                "execution (no compiled plan to describe)"
-            )
-        return explain(text, parameters)
+        return self.backend.explain(text, parameters or {})
 
     def stats(self) -> dict:
-        """Service/store counters (the ``/stats`` endpoint's body)."""
+        """The ``/stats`` body: the backend's counters plus this
+        session's open-cursor count."""
         self._check_open()
-        service = self.service
-        store = service.engine.store
-        return {
-            "engine": service.engine.name,
-            "triples": store.num_triples,
-            "tables": len(store.tables),
-            "data_version": store.data_version,
-            "compactions": store.compactions,
-            "service": {
-                "hits": service.stats.hits,
-                "misses": service.stats.misses,
-                "evictions": service.stats.evictions,
-                "executions": service.stats.executions,
-                "invalidations": service.stats.invalidations,
-                "hit_rate": round(service.stats.hit_rate, 4),
-                "cached_statements": len(service.cached_texts()),
-            },
-            "session": {"open_cursors": self.open_cursors()},
-        }
+        payload = dict(self.backend.stats_payload())
+        payload["session"] = {"open_cursors": self.open_cursors()}
+        return payload
 
     def update(self, request: UpdateRequest) -> UpdateResponse:
-        """Apply one add/remove batch through the store's delta path.
-
-        Rides the same incremental machinery as direct
-        ``add_triples``/``remove_triples`` calls: engines patch their
-        indexes from the delta log and prepared statements keep their
-        still-valid bound plans.
-        """
+        """Apply one add/remove batch through the backend."""
         self._check_open()
-        store = self.service.engine.store
-        added = store.add_triples(request.add) if request.add else 0
-        removed = (
-            store.remove_triples(request.remove) if request.remove else 0
-        )
-        return UpdateResponse(
-            added=added,
-            removed=removed,
-            data_version=store.data_version,
-        )
+        return self.backend.update(request)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -629,13 +438,9 @@ class Session:
             self.closed = True
             cursors = list(self._cursors.values())
             self._cursors.clear()
-            pool = self._timeout_pool
-            self._timeout_pool = None
         for cursor in cursors:
             cursor.closed = True
-            cursor._drop_stream()
-        if pool is not None:
-            pool.shutdown(wait=False)
+            cursor._rows.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -646,7 +451,7 @@ class Session:
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
         return (
-            f"<Session {state} engine={self.service.engine.name!r} "
+            f"<Session {state} backend={self.backend!r} "
             f"cursors={self.open_cursors()}/{self.max_open_cursors}>"
         )
 

@@ -55,21 +55,34 @@ Example::
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as _FutureTimeout
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
-
 from repro.core.query import ParameterValue
 from repro.engines.base import Engine
-from repro.errors import ConfigError
+from repro.errors import (
+    BindingError,
+    ConfigError,
+    ParameterError,
+    ParseError,
+    PlanningError,
+    QueryTimeoutError,
+)
 from repro.service.prepared import PreparedStatement
+from repro.service.protocol import (
+    QueryRequest,
+    Session,
+    UpdateRequest,
+    UpdateResponse,
+)
 from repro.storage.relation import Relation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.service.protocol import Session
+#: Threads that wait out deadline-bounded executions (started lazily,
+#: one per concurrently running timed request up to this bound).
+_DEADLINE_WORKERS = 32
 
 #: One request for :meth:`QueryService.execute_concurrent`: a bare query
 #: text, or ``(text, {param: value, ...})`` for a template.
@@ -92,8 +105,100 @@ class ServiceStats:
         return self.hits / total if total else 0.0
 
 
+class _RelationRows:
+    """Rows source over a materialized encoded result: decodes one page
+    per ``take`` through the engine's dictionary."""
+
+    def __init__(self, engine: Engine, relation: Relation) -> None:
+        self.relation = relation
+        self.columns = relation.attributes
+        self.num_rows = relation.num_rows
+        self._engine = engine
+        self._position = 0
+
+    def take(self, n: int):
+        start = self._position
+        stop = self._position = min(start + n, self.num_rows)
+        return (
+            self._engine.decode_rows(self.relation, start, stop),
+            stop >= self.num_rows,
+        )
+
+    def close(self) -> None:
+        pass
+
+
+class _StreamRows:
+    """Rows source over the engine's live result iterator.
+
+    Pulls encoded chunks on demand — the engine pinned its structure
+    snapshot when the iterator was created, so the stream pages one
+    consistent epoch — and stops the enumeration on ``close``.
+    """
+
+    num_rows = None
+
+    def __init__(
+        self,
+        engine: Engine,
+        chunks: Iterator[Relation],
+        columns: tuple[str, ...],
+    ) -> None:
+        self.columns = columns
+        self._engine = engine
+        self._chunks: Iterator[Relation] | None = chunks
+        self._chunk: Relation | None = None
+        self._chunk_pos = 0
+
+    def _current_chunk(self) -> Relation | None:
+        """The chunk holding the next undecoded row (pulls as needed)."""
+        while True:
+            if (
+                self._chunk is not None
+                and self._chunk_pos < self._chunk.num_rows
+            ):
+                return self._chunk
+            self._chunk = None
+            self._chunk_pos = 0
+            if self._chunks is None:
+                return None
+            try:
+                self._chunk = next(self._chunks)
+            except StopIteration:
+                self._chunks = None
+                return None
+
+    def take(self, n: int):
+        rows: list = []
+        while len(rows) < n:
+            chunk = self._current_chunk()
+            if chunk is None:
+                break
+            take = min(n - len(rows), chunk.num_rows - self._chunk_pos)
+            rows.extend(
+                self._engine.decode_rows(
+                    chunk, self._chunk_pos, self._chunk_pos + take
+                )
+            )
+            self._chunk_pos += take
+        return rows, self._current_chunk() is None
+
+    def close(self) -> None:
+        chunks, self._chunks, self._chunk = self._chunks, None, None
+        close = getattr(chunks, "close", None)
+        if close is not None:
+            close()
+
+
 class QueryService:
-    """Wraps an :class:`~repro.engines.base.Engine` for repeated traffic."""
+    """Wraps an :class:`~repro.engines.base.Engine` for repeated traffic.
+
+    Also the in-process **backend** of the protocol layer (see
+    :mod:`repro.service.protocol`): :meth:`run`, :meth:`update`,
+    :meth:`explain` and :meth:`stats_payload` are what a
+    :class:`~repro.service.protocol.Session` drives. The engine may be a
+    plain one or a :class:`~repro.distributed.engine.ShardedEngine`.
+    """
 
     def __init__(self, engine: Engine, cache_size: int = 128) -> None:
         if cache_size < 1:
@@ -104,7 +209,7 @@ class QueryService:
         self._cache: OrderedDict[str, PreparedStatement] = OrderedDict()
         self._lock = threading.RLock()
         self._data_version = engine.store.data_version
-        self._session: "Session | None" = None
+        self._deadline_pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Preparation (the cached parse -> translate pipeline)
@@ -142,53 +247,155 @@ class QueryService:
             return statement
 
     # ------------------------------------------------------------------
-    # Sessions (the protocol layer's entry point)
+    # The protocol backend (what a Session drives)
     # ------------------------------------------------------------------
-    def session(
-        self,
-        *,
-        max_open_cursors: int = 64,
-        default_page_size: int | None = None,
-        timeout_s: float | None = None,
-        deadline_workers: int = 4,
-    ) -> "Session":
-        """Open a protocol :class:`~repro.service.protocol.Session`.
+    def _run_with_deadline(
+        self, statement: PreparedStatement, values: Mapping, timeout_s
+    ) -> Relation:
+        """Execute, abandoning the wait at ``timeout_s``.
 
-        The session API — prepare, execute into a streaming cursor,
-        fetch in pages, close — is the primary public surface; the
-        ``execute*`` methods below are thin shims over a shared default
-        session, so in-process callers and the HTTP front-end exercise
-        one code path.
+        Python cannot preempt the worker thread — on a timeout it
+        finishes in the background and its result is discarded; only
+        the caller's wait is bounded.
         """
-        from repro.service.protocol import DEFAULT_PAGE_SIZE, Session
-
-        return Session(
-            self,
-            max_open_cursors=max_open_cursors,
-            default_page_size=default_page_size or DEFAULT_PAGE_SIZE,
-            timeout_s=timeout_s,
-            deadline_workers=deadline_workers,
-        )
-
-    def _default_session(self) -> "Session":
-        # The shared shim session: roomy cursor bound (shim calls close
-        # their cursor before returning, so only in-flight requests
-        # hold slots) and no deadline.
+        if timeout_s is None:
+            return statement.execute(**values)
         with self._lock:
-            session = self._session
-            if session is None or session.closed:
-                session = self._session = self.session(
-                    max_open_cursors=4096
+            if self._deadline_pool is None:
+                self._deadline_pool = ThreadPoolExecutor(
+                    max_workers=_DEADLINE_WORKERS,
+                    thread_name_prefix="repro-deadline",
                 )
-            return session
+            pool = self._deadline_pool
+        future = pool.submit(statement.execute, **values)
+        try:
+            return future.result(timeout=timeout_s)
+        except _FutureTimeout:
+            future.cancel()
+            raise QueryTimeoutError(
+                f"query exceeded its {timeout_s:g}s deadline"
+            ) from None
 
-    def _note_execution(self) -> None:
-        """Session callback: one request answered (stats accounting)."""
+    def run(self, request: QueryRequest, timeout_s: float | None = None):
+        """Prepare (cached) and execute one request into a rows source.
+
+        A ``stream`` request is fed from the engine's live result
+        iterator: its setup is eager (binding, validation, epoch
+        capture) but cheap, and the join work it defers into fetches is
+        outside the deadline's reach.
+        """
+        statement = self.prepare(request.text, name=request.name)
+        try:
+            if request.stream:
+                rows = _StreamRows(
+                    self.engine,
+                    statement.execute_iter(**request.parameters),
+                    tuple(v.name for v in statement.query.projection),
+                )
+            else:
+                rows = _RelationRows(
+                    self.engine,
+                    self._run_with_deadline(
+                        statement, request.parameters, timeout_s
+                    ),
+                )
+        except (ParseError, ParameterError):
+            raise
+        except PlanningError as exc:
+            # The text parsed and translated, so a planning rejection
+            # is the request's fault (not a library bug): report it in
+            # the 400 family.
+            raise BindingError(str(exc)) from exc
         with self._lock:
             self.stats.executions += 1
+        return rows
+
+    def update(self, request: UpdateRequest) -> UpdateResponse:
+        """Apply one add/remove batch through the store's delta path.
+
+        Rides the same incremental machinery as direct
+        ``add_triples``/``remove_triples`` calls: engines patch their
+        indexes from the delta log and prepared statements keep their
+        still-valid bound plans.
+        """
+        store = self.engine.store
+        added = store.add_triples(request.add) if request.add else 0
+        removed = (
+            store.remove_triples(request.remove) if request.remove else 0
+        )
+        return UpdateResponse(
+            added=added,
+            removed=removed,
+            data_version=store.data_version,
+        )
+
+    def explain(
+        self,
+        text: str,
+        parameters: Mapping[str, ParameterValue] | None = None,
+    ) -> str:
+        """The engine's plan description for a query text.
+
+        Engines with a GHD planner render the decomposition tree;
+        others answer with their name (they plan per execution).
+        """
+        explain = getattr(self.engine, "explain_sparql", None)
+        if explain is None:
+            return (
+                f"engine {self.engine.name!r} plans per "
+                "execution (no compiled plan to describe)"
+            )
+        return explain(text, parameters)
+
+    def stats_payload(self) -> dict:
+        """Service/store counters (the ``/stats`` endpoint's body)."""
+        store = self.engine.store
+        return {
+            "engine": self.engine.name,
+            "triples": store.num_triples,
+            "tables": len(store.tables),
+            "data_version": store.data_version,
+            "compactions": store.compactions,
+            "service": {
+                "hits": self.stats.hits,
+                "misses": self.stats.misses,
+                "evictions": self.stats.evictions,
+                "executions": self.stats.executions,
+                "invalidations": self.stats.invalidations,
+                "hit_rate": round(self.stats.hit_rate, 4),
+                "cached_statements": len(self.cached_texts()),
+            },
+        }
+
+    def workers(self) -> tuple[int, int | None]:
+        """``(live, configured)`` executing processes: this one, with
+        no bound of its own (callers bring the threads)."""
+        return 1, None
+
+    def close(self) -> None:
+        """Stop the deadline threads (abandoned executions finish in
+        the background); the statement cache stays usable."""
+        with self._lock:
+            pool, self._deadline_pool = self._deadline_pool, None
+        if pool is not None:
+            pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------
-    # Execution (shims over the session API)
+    # Sessions (the protocol layer's entry point)
+    # ------------------------------------------------------------------
+    def session(self, **options) -> Session:
+        """Open a protocol :class:`~repro.service.protocol.Session` over
+        this service (``options`` are the session's own keywords).
+
+        The session API — execute into a cursor, fetch in pages, close
+        — is the primary public surface; the ``execute*`` methods below
+        call the same :meth:`run` a session does, so in-process callers
+        and the HTTP front-end exercise one code path.
+        """
+        return Session(self, **options)
+
+    # ------------------------------------------------------------------
+    # Execution
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -200,14 +407,11 @@ class QueryService:
 
         ``parameters`` supplies values for a ``$parameter`` template
         (exactly the template's placeholders; a plain query takes none).
+        Returns the encoded relation, which only this backend has.
         """
-        cursor = self._default_session().execute(
-            text, parameters=parameters or {}, name=name
-        )
-        try:
-            return cursor.relation
-        finally:
-            cursor.close()
+        return self.run(
+            QueryRequest(text, parameters or {}, name=name)
+        ).relation
 
     def execute_decoded(
         self,
@@ -217,13 +421,8 @@ class QueryService:
     ) -> list[tuple[str | None, ...]]:
         """:meth:`execute`, decoded back to lexical terms (``None`` for
         variables an OPTIONAL row never bound)."""
-        cursor = self._default_session().execute(
-            text, parameters=parameters or {}, name=name
-        )
-        try:
-            return cursor.fetch_all()
-        finally:
-            cursor.close()
+        rows = self.run(QueryRequest(text, parameters or {}, name=name))
+        return rows.take(rows.num_rows)[0]
 
     def executemany(
         self,
@@ -231,7 +430,10 @@ class QueryService:
         param_rows: Iterable[Mapping[str, ParameterValue]],
     ) -> list[Relation]:
         """Answer one template for a batch of parameter rows (in order)."""
-        return self._default_session().executemany(text, param_rows)
+        results = self.prepare(text).executemany(param_rows)
+        with self._lock:
+            self.stats.executions += len(results)
+        return results
 
     def execute_many(self, texts: Sequence[str]) -> list[Relation]:
         """Answer a batch; each distinct text is executed exactly once.

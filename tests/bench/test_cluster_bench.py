@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.cluster_bench import render, run_cluster_bench, write_report
+from repro.bench.cluster_bench import render, run_cluster_bench
+from repro.bench.report import write_report
 from repro.service.cluster.shm import shm_supported
 
 pytestmark = pytest.mark.skipif(
@@ -14,12 +15,14 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def report():
-    # Tiny family/rounds: the timing gates adapt to the host's core
-    # count; correctness (byte-identical vs single-process, update
-    # visibility, shm hygiene) is what the test gates.
+    # Tiny family/rounds, timing gates off (``min_scaling=0``): a
+    # 4-request leg cannot measure a throughput ratio. Correctness
+    # (byte-identical vs in-process, update visibility, shm hygiene,
+    # zero failures) is what the test gates; ``scaling_ok`` and p99
+    # stay in the CI ``bench.cli cluster`` step.
     return run_cluster_bench(
         universities=1, seed=0, family=4, rounds=1, workers=2, clients=2,
-        p99_target_ms=10_000.0,
+        p99_target_ms=10_000.0, min_scaling=0.0,
     )
 
 
@@ -27,8 +30,8 @@ def test_cluster_bench_gates(report):
     assert report["byte_identical"]
     assert report["update"]["ok"], report["update"]
     assert report["shm"]["ok"], report["shm"]
-    assert report["scaling_ok"]
-    assert report["ok"], report
+    assert all(leg["failures"] == 0 for leg in report["legs"])
+    assert report["config"]["required_scaling"] == 0.0
 
 
 def test_cluster_bench_legs(report):

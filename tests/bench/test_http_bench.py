@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.http_bench import run_http_bench, write_report
+from repro.bench.http_bench import run_http_bench
+from repro.bench.report import write_report
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +22,7 @@ def test_http_bench_correctness_gates(report):
     assert report["agrees"], report["rows_crosschecked"]
     assert report["rows_crosschecked"] == {"json": True, "binary": True}
     assert report["concurrent"]["matches_serial"]
+    assert report["saturation"]["matches_serial"]
     assert report["smoke"]["ok"], report["smoke"]
 
 

@@ -2,11 +2,8 @@
 
 import json
 
-from repro.bench.service_bench import (
-    TEMPLATE,
-    run_service_bench,
-    write_report,
-)
+from repro.bench.report import write_report
+from repro.bench.service_bench import TEMPLATE, run_service_bench
 
 
 def test_service_bench_report_shape(tmp_path):
