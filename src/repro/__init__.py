@@ -24,8 +24,10 @@ The package provides:
 * :mod:`repro.lubm` — the LUBM data generator and query workload;
 * :mod:`repro.sparql` / :mod:`repro.rdf` / :mod:`repro.storage` /
   :mod:`repro.sets` / :mod:`repro.trie` — the substrates;
-* :mod:`repro.bench` — the paper's measurement protocol and table
-  regeneration entry points.
+* :mod:`repro.bench` — the paper's measurement protocol, the Table I /
+  Table II / figure regeneration entry points and the cross-engine
+  ``smoke`` correctness gate (serving-path performance is measured by
+  ``benchmarks/ledger/``, outside the package).
 
 Quickstart::
 

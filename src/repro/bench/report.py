@@ -1,24 +1,8 @@
-"""What every bench report shares: percentiles, JSON output, tables."""
+"""Table rendering shared by the paper-artifact reports."""
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
-
-
-def percentile(latencies: list[float], fraction: float) -> float:
-    """The sample at ``fraction`` of the sorted latencies (no
-    interpolation; nearest rank)."""
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, round(fraction * (len(ordered) - 1)))
-    return ordered[index]
-
-
-def write_report(report: dict, path: str) -> None:
-    """Write a bench report as stable (sorted, indented) JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_table(

@@ -46,9 +46,9 @@ class ExecutorStats:
 
     ``enumerated_tuples`` counts partial join tuples carried through the
     frontier at join-attribute bindings (both execution paths charge the
-    same way, so materialized and streamed runs are comparable). The
-    top-k bench gate asserts that under streaming it grows with
-    ``offset + limit``, not with store size.
+    same way, so materialized and streamed runs are comparable).
+    ``tests/core/test_streaming.py`` asserts that under streaming it
+    grows with ``offset + limit``, not with store size.
 
     ``last_order``/``last_bounds`` record the attach order (and, when
     the bound-driven search ran, its per-variable frontier bounds) of

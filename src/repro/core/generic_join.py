@@ -158,7 +158,7 @@ def generic_join(
     ``stats``, when given, must expose an integer ``enumerated_tuples``
     attribute; it is incremented by the frontier size after every join-
     attribute binding — the count of partial tuples the algorithm
-    actually carried, the executor's work measure for the top-k gate.
+    actually carried, the executor's work measure.
     """
     kept = plan_attribute_list(attrs, participants, selections, output_attrs)
     out_in_order = [a for a in kept if a in set(output_attrs)]

@@ -79,10 +79,6 @@ class Engine(ABC):
     #: the serving layer's LRU relies on this staying bounded too.
     sparql_cache_size: int = 512
 
-    #: Incremental maintenance switch (benchmarks flip it off to measure
-    #: the wholesale-rebuild baseline).
-    incremental_updates: bool = True
-
     #: Above this fraction of the store, an accumulated delta is cheaper
     #: to absorb by rebuilding than by patching; ``changes_since`` then
     #: returns ``None`` and ``_on_data_update`` runs instead.
@@ -123,13 +119,13 @@ class Engine(ABC):
         is the one observed before refreshing, so an update landing
         right after simply triggers the next refresh.
 
-        The catch-up itself is **incremental by default**: the store
+        The catch-up itself is **incremental**: the store
         hands back the logical :class:`~repro.storage.vertical.DeltaBatch`
         list since this engine's epoch and each batch flows through
         :meth:`apply_delta`. The wholesale ``_on_data_update`` rebuild
         runs only when the log is gone, the delta exceeds
-        ``delta_rebuild_fraction`` of the store, incremental updates are
-        switched off, or the subclass declines a batch.
+        ``delta_rebuild_fraction`` of the store, or the subclass declines
+        a batch.
         """
         if self._data_version == self.store.data_version:
             return
@@ -138,15 +134,13 @@ class Engine(ABC):
                 return
             with self.store._write_lock:
                 target = self.store.data_version
-                batches = None
-                if self.incremental_updates:
-                    max_rows = int(
-                        self.delta_rebuild_fraction
-                        * max(self.store.num_triples, 1)
-                    )
-                    batches = self.store.changes_since(
-                        self._data_version, max_rows=max_rows
-                    )
+                max_rows = int(
+                    self.delta_rebuild_fraction
+                    * max(self.store.num_triples, 1)
+                )
+                batches = self.store.changes_since(
+                    self._data_version, max_rows=max_rows
+                )
                 if batches is None:
                     self._on_data_update()
                 else:

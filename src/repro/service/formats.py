@@ -237,31 +237,46 @@ class BinarySerializer(Serializer):
 def read_binary(
     data: bytes,
 ) -> tuple[tuple[str, ...], list[tuple[str | None, ...]]]:
-    """Decode a :class:`BinarySerializer` payload to columns + rows."""
+    """Decode a :class:`BinarySerializer` payload to columns + rows.
+
+    The payload crosses a process boundary (worker → front door), so
+    every malformed one — truncated, non-UTF-8, torn mid-cell, trailing
+    bytes — raises :class:`~repro.errors.ParseError`; a short final
+    cell is caught by the end-offset check, not per cell.
+    """
     if data[:4] != BINARY_MAGIC:
         raise ParseError("not an SPB1 binary result payload")
-    offset = 4
-    (ncols,) = struct.unpack_from("<H", data, offset)
-    offset += 2
-    columns: list[str] = []
-    for _ in range(ncols):
-        (length,) = struct.unpack_from("<H", data, offset)
+    try:
+        offset = 4
+        (ncols,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        columns.append(data[offset : offset + length].decode("utf-8"))
-        offset += length
-    rows: list[tuple[str | None, ...]] = []
-    total = len(data)
-    while offset < total:
-        row: list[str | None] = []
+        columns: list[str] = []
         for _ in range(ncols):
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            if length == BINARY_NULL:
-                row.append(None)
-                continue
-            row.append(data[offset : offset + length].decode("utf-8"))
+            (length,) = struct.unpack_from("<H", data, offset)
+            offset += 2
+            columns.append(data[offset : offset + length].decode("utf-8"))
             offset += length
-        rows.append(tuple(row))
+        rows: list[tuple[str | None, ...]] = []
+        # Zero-column rows occupy no bytes: nothing may follow the header.
+        total = len(data) if ncols else offset
+        while offset < total:
+            row: list[str | None] = []
+            for _ in range(ncols):
+                (length,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                if length == BINARY_NULL:
+                    row.append(None)
+                    continue
+                row.append(data[offset : offset + length].decode("utf-8"))
+                offset += length
+            rows.append(tuple(row))
+    except (struct.error, UnicodeDecodeError) as error:
+        raise ParseError(f"malformed SPB1 payload: {error}") from error
+    if offset != len(data):
+        raise ParseError(
+            f"malformed SPB1 payload: decoding ended at byte {offset} "
+            f"of {len(data)}"
+        )
     return tuple(columns), rows
 
 

@@ -64,7 +64,7 @@ from repro.storage.relation import Relation
 
 @dataclass
 class StatementStats:
-    """Per-statement counters (monitoring and the service benchmark)."""
+    """Per-statement counters (monitoring and the benchmark ledger)."""
 
     executions: int = 0
     bind_hits: int = 0

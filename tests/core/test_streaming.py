@@ -4,7 +4,7 @@ The contract under test (see ``GHDExecutor.execute_iter``): streamed
 chunks concatenate to exactly the materialized result's rows before the
 final offset/limit slice, in canonical sorted-by-projection order, with
 duplicates already removed — and a consumer that stops pulling stops
-the enumeration (the top-k short-circuit the bench gate measures).
+the enumeration (the top-k short-circuit).
 """
 
 import numpy as np
@@ -111,9 +111,10 @@ def test_union_merge_counts_distinct_rows_across_branches():
 
 
 def test_enumerated_tuples_bounded_by_cap_not_store_size():
-    # The tentpole gate in miniature: the same LIMIT 10 query over a
-    # 10x bigger store must not enumerate 10x the tuples.
-    counts = {}
+    # The streaming claim as an exact counter: the same LIMIT 10 query
+    # over an 8x bigger store must not enumerate 8x the tuples, while
+    # the materializing path (the whole join, then the slice) does.
+    counts, materialized = {}, {}
     for scale in (1, 8):
         engine = _engine(_star_triples(120 * scale))
         text = (
@@ -124,7 +125,11 @@ def test_enumerated_tuples_bounded_by_cap_not_store_size():
         rows = _drain(engine, text)
         counts[scale] = engine.executor_stats.enumerated_tuples - before
         assert len(rows) == 10
+        before = engine.executor_stats.enumerated_tuples
+        engine.execute_sparql(text)
+        materialized[scale] = engine.executor_stats.enumerated_tuples - before
     assert counts[8] <= counts[1] * 2, counts
+    assert materialized[8] >= materialized[1] * 4, materialized
 
 
 def test_materialized_path_counts_every_join_level():

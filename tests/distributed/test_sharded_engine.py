@@ -5,7 +5,9 @@ import pytest
 from repro.distributed import ShardedEngine, ShardedStore
 from repro.engines import ALL_ENGINES
 from repro.errors import ConfigError
+from repro.lubm.generator import generate_triples
 from repro.service import QueryService
+from repro.service.formats import SERIALIZERS
 from repro.storage.vertical import vertically_partition
 
 EX = "http://ex/"
@@ -120,3 +122,61 @@ def test_service_surface_over_sharded_store(stores):
     assert stats["engine"] == "sharded"
     explain = session.explain(QUERIES[1])
     assert "partitioned" in explain
+
+
+# ---------------------------------------------------------------------------
+# Byte identity on the paper workload, through an update round
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module", params=[2, 3], ids=["2shards", "3shards"])
+def lubm_stores(request, dataset):
+    """LUBM(1) as (triples, single store, N-shard store), private to
+    this module because the test below writes to both stores."""
+    triples = list(generate_triples(dataset.config))
+    return (
+        triples,
+        vertically_partition(list(triples)),
+        ShardedStore.partition(list(triples), request.param),
+    )
+
+
+def _binary_body(session, text):
+    with session.execute(text) as cursor:
+        return SERIALIZERS["binary"].serialize(cursor)
+
+
+@pytest.mark.parametrize("engine_cls", ALL_ENGINES)
+def test_paper_query_bodies_are_byte_identical_across_an_update(
+    lubm_stores, queries, engine_cls
+):
+    triples, single_store, sharded_store = lubm_stores
+    single = QueryService(engine_cls(single_store)).session()
+    sharded = QueryService(
+        ShardedEngine(sharded_store, engine_cls.name)
+    ).session()
+    texts = dict(queries)
+
+    def assert_identical(stage):
+        for qid, text in texts.items():
+            assert _binary_body(sharded, text) == _binary_body(
+                single, text
+            ), (engine_cls.name, stage, qid)
+
+    assert_identical("load")
+
+    # The stores are shared by the five engine cases, so each case
+    # brings its own never-seen predicate and deletes its own slice of
+    # the original triples; every comparison is sharded vs single.
+    offset = ALL_ENGINES.index(engine_cls)
+    tag = f"<{EX}tag-{engine_cls.name}>"
+    existing = sorted({s for s, _, _ in triples[:500]})[:8]
+    add = [(s, tag, f"<{EX}t{i}>") for i, s in enumerate(existing)]
+    add += [(f"<{EX}node{i}>", tag, f"<{EX}t{i % 3}>") for i in range(8)]
+    remove = add[::2] + triples[offset :: len(triples) // 7][:7]
+    assert sharded_store.add_triples(add) == single_store.add_triples(add)
+    assert sharded_store.remove_triples(remove) == (
+        single_store.remove_triples(remove)
+    ) == len(remove)
+    texts["tag"] = f"SELECT ?s ?o WHERE {{ ?s {tag} ?o }}"
+    assert_identical("updated")
+    with sharded.execute(texts["tag"]) as cursor:
+        assert len(cursor.fetch_all()) == 8

@@ -199,18 +199,6 @@ def test_threshold_rebuild_mid_catchup_does_not_double_apply(engine_cls):
     )
 
 
-def test_incremental_switch_forces_wholesale_rebuild():
-    store = vertically_partition(BASE)
-    engine = RDF3XLikeEngine(store)
-    engine.incremental_updates = False
-    _answers(engine)
-    triples_before = engine._state.triples
-    store.add_triples([(f"<{EX}x>", f"<{EX}knows>", f"<{EX}y>")])
-    _answers(engine)
-    assert engine._state.triples is not triples_before
-    assert not engine._state.overlay
-
-
 def test_pairwise_distinct_cache_tracks_replaced_relations():
     from repro.engines.pairwise import ColumnStoreEngine
 

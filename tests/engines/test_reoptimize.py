@@ -103,3 +103,62 @@ def test_executor_stats_record_order_and_bounds(store):
     assert stats.last_order  # the chosen attach order is surfaced
     assert stats.last_bounds is not None
     assert set(stats.last_bounds) == set(stats.last_order)
+
+
+# ---------------------------------------------------------------------------
+# Skew: one hot value, a tail of singletons, a two-hop filtered template
+# ---------------------------------------------------------------------------
+HOT, FANOUT, FLAGS = 200, 2, 5
+
+SKEW_TEMPLATE = (
+    f"SELECT ?x ?y WHERE {{ ?x <{EX}p> $v . "
+    f"?x <{EX}s> ?y . ?y <{EX}t> <{EX}flag> }}"
+)
+
+
+def _skewed_store():
+    """``v0`` matches HOT subjects, ``v1..v3`` one each. Every hot
+    subject has FANOUT dead-end ``s`` edges; only the first FLAGS (and
+    every cold subject) also reach a flagged object."""
+    triples = [
+        (f"<{EX}f{m}>", f"<{EX}t>", f"<{EX}flag>") for m in range(FLAGS)
+    ]
+    for i in range(HOT):
+        triples.append((f"<{EX}x{i}>", f"<{EX}p>", f"<{EX}v0>"))
+        for k in range(FANOUT):
+            triples.append((f"<{EX}x{i}>", f"<{EX}s>", f"<{EX}y{i}_{k}>"))
+        if i < FLAGS:
+            triples.append((f"<{EX}x{i}>", f"<{EX}s>", f"<{EX}f{i}>"))
+    for j in range(1, 4):
+        triples.append((f"<{EX}c{j}>", f"<{EX}p>", f"<{EX}v{j}>"))
+        triples.append((f"<{EX}c{j}>", f"<{EX}s>", f"<{EX}f{j % FLAGS}>"))
+    store = VerticallyPartitionedStore()
+    store.add_triples(triples)
+    return store
+
+
+def test_hot_value_runs_under_bounds_that_hold_for_it():
+    # The skew claim without a clock: warmed on a cold value, the
+    # structural plan opens with ?x and promises one subject. With
+    # re-optimization the hot value gets the order that opens with the
+    # FLAGS flagged objects; without it the hot value runs the cold
+    # plan, whose leading bound it breaks HOT times over.
+    store = _skewed_store()
+    ran = {}
+    for reoptimize in (True, False):
+        engine = EmptyHeadedEngine(
+            store,
+            config=OptimizationConfig.all_on().but(reoptimize=reoptimize),
+        )
+        stmt = PreparedStatement(engine, SKEW_TEMPLATE, result_cache_size=0)
+        stmt.execute(v=f"<{EX}v1>")
+        rows = engine.decode(stmt.execute(v=f"<{EX}v0>"))
+        stats = engine.executor.stats
+        joined = [name for name in stats.last_order if name in ("x", "y")]
+        ran[reoptimize] = (rows, joined, stats.last_bounds)
+
+    rows_on, order_on, bounds_on = ran[True]
+    rows_off, order_off, bounds_off = ran[False]
+    assert rows_on == rows_off and len(rows_on) == FLAGS
+    assert order_on == ["y", "x"] and bounds_on["y"] == FLAGS
+    assert order_off == ["x", "y"] and bounds_off["x"] == 1 < HOT

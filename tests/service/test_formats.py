@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.errors import ParseError, UnsupportedFormatError
@@ -161,6 +163,51 @@ def test_binary_rejects_other_payloads():
     # serving layer maps unregistered exceptions to internal_error/500.
     with pytest.raises(ParseError):
         read_binary(b"nope")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"SPB1\x01",  # header cut inside the column count
+        b"SPB1\x01\x00\x01\x00\xff",  # column name is not UTF-8
+        b"SPB1\x01\x00\x01\x00a\x05\x00\x00\x00ab",  # 5-byte cell, 2 present
+        b"SPB1\x00\x00x",  # bytes after a zero-column header
+    ],
+    ids=["truncated-header", "bad-utf8-column", "torn-cell", "trailing"],
+)
+def test_binary_malformed_payload_is_parse_error(payload):
+    with pytest.raises(ParseError):
+        read_binary(payload)
+
+
+_VALID_BINARY = SERIALIZERS["binary"].serialize(_cursor(page_size=1))
+
+
+@given(
+    st.integers(0, len(_VALID_BINARY) - 1),
+    st.integers(1, 255),
+    st.booleans(),
+)
+def test_binary_damaged_payload_is_parse_error_or_well_formed(
+    position, mask, truncate
+):
+    # read_binary decodes worker bytes in the front door: damage must
+    # surface as ParseError or a well-formed table, never a torn row or
+    # another exception type.
+    if truncate:
+        payload = _VALID_BINARY[:position]
+    else:
+        damaged = bytearray(_VALID_BINARY)
+        damaged[position] ^= mask
+        payload = bytes(damaged)
+    try:
+        columns, rows = read_binary(payload)
+    except ParseError:
+        return
+    assert all(isinstance(name, str) for name in columns)
+    for row in rows:
+        assert len(row) == len(columns)
+        assert all(v is None or isinstance(v, str) for v in row)
 
 
 # ---------------------------------------------------------------------------

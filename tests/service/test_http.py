@@ -398,6 +398,16 @@ def test_explain_rejects_unknown_and_duplicate_parameters(server):
         ),
     )
     assert status == 400
+    # A template explains with its parameters bound, not without them.
+    status, _, body = _get(
+        server,
+        "/explain?"
+        + urllib.parse.urlencode({"query": query, "$who": f"<{EX}s0>"}),
+    )
+    assert status == 200 and b"plan" in body
+    assert _error(
+        server, "/explain?" + urllib.parse.urlencode({"query": query})
+    ) == (400, "parameter_error")
 
 
 def test_post_form_and_raw_query_bodies(server):
