@@ -9,8 +9,10 @@ Pipeline (mirrors EmptyHeaded's three phases, Section II):
 2. :mod:`repro.core.ghd_optimizer` — generalized hypertree decompositions
    are enumerated; the planner picks minimum fractional width, then
    smallest height, then (when the +GHD optimization is on) maximal
-   selection depth; :mod:`repro.core.attribute_order` derives the global
-   attribute order (with the +Attribute selection-first heuristic).
+   selection depth. The global attribute order comes from
+   :mod:`repro.core.bounds` under +Attribute (selections first, then the
+   minimum-bound attach order over the store's frequency sketches) and
+   is :mod:`repro.core.attribute_order`'s appearance order without it.
 3. :mod:`repro.core.executor` — each GHD node runs the generic worst-case
    optimal join (:mod:`repro.core.generic_join`) bottom-up; a top-down
    Yannakakis pass materializes the final result; the root may be fused

@@ -5,11 +5,13 @@ of the GHD: attributes seen earlier in the traversal are earlier in the
 order." The order determines both the level order of every trie and the
 order in which Algorithm 1 binds attributes.
 
+This module holds that BFS order, the whole order without +Attribute.
 The +Attribute optimization ("pushing down selections within a node")
-additionally forces selection attributes to the front — Example 1 in the
-paper shows why: with order ``[x, a]`` the engine probes the second trie
-level for *every* x, while ``[a, x]`` is one probe followed by returning
-the second level wholesale.
+is :func:`repro.core.bounds.bound_attribute_order`: selections first,
+the rest by pessimistic frontier bounds, ties broken toward this order.
+Example 1 in the paper shows why selections go first: with order
+``[x, a]`` the engine probes the second trie level for *every* x, while
+``[a, x]`` is one probe followed by returning the second level wholesale.
 """
 
 from __future__ import annotations
@@ -40,52 +42,6 @@ def appearance_order(query: NormalizedQuery, ghd: GHD) -> list[Variable]:
                 seen.add(var)
                 order.append(var)
     return order
-
-
-SMALL_CARDINALITY_THRESHOLD = 8
-"""Unselected attributes whose post-selection cardinality estimate is at
-most this are promoted ahead of the BFS order ("small initial
-cardinalities", Section III-B1). The constant is deliberately small: it
-should catch attributes pinned down by a neighbouring selection (LUBM
-query 7's ``y`` — the couple of courses one professor teaches) without
-reshuffling moderately sized attributes, which would break pipelining's
-shared-prefix condition on queries like LUBM 8."""
-
-
-def global_attribute_order(
-    query: NormalizedQuery,
-    ghd: GHD,
-    *,
-    reorder_selections: bool,
-    cardinalities: dict[Variable, int] | None = None,
-    small_threshold: int = SMALL_CARDINALITY_THRESHOLD,
-) -> list[Variable]:
-    """The global attribute order, optionally with selections first.
-
-    With ``reorder_selections`` (the paper's +Attribute optimization):
-
-    * selection variables move, stably, to the front of the order;
-    * unselected variables with a cardinality estimate at most
-      ``small_threshold`` are promoted next, smallest first.
-
-    For LUBM query 2 this yields ``[a, b, c, x, y, z]`` as reported in
-    Section III-B1.
-    """
-    base = appearance_order(query, ghd)
-    if not reorder_selections:
-        return base
-    selected = [v for v in base if v in query.selections]
-    unselected = [v for v in base if v not in query.selections]
-    if cardinalities:
-        small = [
-            v
-            for v in unselected
-            if cardinalities.get(v, 1 << 62) <= small_threshold
-        ]
-        small.sort(key=lambda v: cardinalities[v])
-        rest = [v for v in unselected if v not in set(small)]
-        unselected = small + rest
-    return selected + unselected
 
 
 def node_attribute_order(

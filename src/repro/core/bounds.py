@@ -3,10 +3,11 @@
 The paper's +Attribute heuristic promotes "attributes with selections or
 small initial cardinalities"; under skew a distinct count is the wrong
 signal (a celebrity value binds 100k rows, the median value 5). This
-module replaces the single small-cardinality threshold with an
-upper-bound-driven search in the UES style: every candidate attach
-order is scored by the sum over its prefixes of a *product of frequency
-bounds* on the intermediate frontier, and the minimum-bound order wins.
+module is that optimization's only order policy: an upper-bound-driven
+search in the UES style, where every candidate attach order is scored
+by the sum over its prefixes of a *product of frequency bounds* on the
+intermediate frontier, and the minimum-bound order wins. It reads only
+the store's frequency sketches, never a column.
 
 For a variable ``v`` extended after the set ``B`` of already-bound
 variables, each atom covering ``v`` yields an upper bound on how many
@@ -47,6 +48,11 @@ MAX_EXHAUSTIVE_VARS = 7
 
 #: Extension bound used when no sketch covers a variable at all.
 _UNKNOWN = 1 << 62
+
+#: Per-value re-optimization: a cached plan is re-planned when a bound
+#: value's sketched count leaves the plan's assumption by more than this
+#: factor, and counts within one factor share a selectivity class.
+REOPTIMIZE_FACTOR = 8.0
 
 
 def atom_sketch(

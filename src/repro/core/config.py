@@ -6,7 +6,8 @@ Each flag corresponds to one column of Table I in the paper:
   off forces the unsigned-integer-array layout everywhere.
 * ``reorder_selections`` — "+Attribute": move selection attributes to the
   front of the global attribute order (pushing selections down *within*
-  GHD nodes).
+  GHD nodes) and order the rest by the sketch-bound search of
+  :mod:`repro.core.bounds`; off keeps the GHD's appearance order.
 * ``ghd_selection_pushdown`` — "+GHD": choose the GHD with maximal
   selection depth (pushing selections down *across* GHD nodes).
 * ``pipelining``      — "+Pipelining": fuse the root with one
@@ -32,22 +33,12 @@ class OptimizationConfig:
     """Decompose queries into GHDs at all. LogicBlox-style engines run the
     generic join over a single node containing every atom."""
 
-    bound_orders: bool = True
-    """Skew-aware attach orders: when the store's frequency sketches are
-    available, score candidate orders by pessimistic frontier bounds and
-    pick the minimum instead of the small-cardinality promotion. Only
-    active together with ``reorder_selections`` (it is that
-    optimization's cost model)."""
-
     reoptimize: bool = True
     """Per-value re-optimization of cached plans: when a bound
     parameter's sketched selectivity diverges from the cached plan's
-    assumption by more than ``reoptimize_factor``, re-plan for that
+    assumption by more than
+    :data:`~repro.core.bounds.REOPTIMIZE_FACTOR`, re-plan for that
     value class instead of reusing the structural plan."""
-
-    reoptimize_factor: float = 8.0
-    """Divergence factor (and selectivity-class bucket base) for
-    ``reoptimize``."""
 
     @property
     def force_layout(self) -> SetLayout | None:
@@ -68,7 +59,6 @@ class OptimizationConfig:
             ghd_selection_pushdown=False,
             pipelining=False,
             use_ghd=False,
-            bound_orders=False,
             reoptimize=False,
         )
 
@@ -81,7 +71,6 @@ class OptimizationConfig:
             ghd_selection_pushdown=False,
             pipelining=False,
             use_ghd=True,
-            bound_orders=False,
             reoptimize=False,
         )
 

@@ -86,9 +86,6 @@ class GHDOptimizer:
 
     def __init__(self, config: OptimizationConfig | None = None) -> None:
         self.config = config if config is not None else OptimizationConfig()
-        self._width_cache: dict[
-            tuple[frozenset[Variable], tuple[int, ...]], float
-        ] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -142,23 +139,15 @@ class GHDOptimizer:
         )
         if not targets:
             return 0.0
-        key = (targets, atom_indices)
-        cached = self._width_cache.get(key)
-        if cached is not None:
-            return cached
         # Fast path: one atom (or any atom covering all targets) = width 1.
-        width: float
         if any(
             targets <= frozenset(query.atoms[i].variables)
             for i in atom_indices
         ):
-            width = 1.0
-        else:
-            hypergraph = Hypergraph.from_query(query)
-            edges = [hypergraph.edges[i] for i in atom_indices]
-            width = cover_number(targets, edges)
-        self._width_cache[key] = width
-        return width
+            return 1.0
+        hypergraph = Hypergraph.from_query(query)
+        edges = [hypergraph.edges[i] for i in atom_indices]
+        return cover_number(targets, edges)
 
     def _candidates_over(
         self,
@@ -188,6 +177,18 @@ class GHDOptimizer:
                 [ghd],
             )
 
+        # Block widths repeat across partitions; the memo lives for this
+        # call only, since atom indices name atoms of this query alone.
+        widths: dict[tuple[int, ...], float] = {}
+
+        def width_of(block: tuple[int, ...]) -> float:
+            width = widths.get(block)
+            if width is None:
+                width = widths[block] = self._node_width(
+                    query, block, cover_restriction
+                )
+            return width
+
         by_width: dict[float, list[list[tuple[int, ...]]]] = {}
         for partition in set_partitions(atom_indices):
             blocks = [tuple(sorted(block)) for block in partition]
@@ -203,13 +204,7 @@ class GHDOptimizer:
                     for group in must_cover
                 ):
                     continue
-            width = round(
-                max(
-                    self._node_width(query, block, cover_restriction)
-                    for block in blocks
-                ),
-                6,
-            )
+            width = round(max(width_of(block) for block in blocks), 6)
             by_width.setdefault(width, []).append(blocks)
 
         # A minimum-width partition may admit no valid tree (the per-atom

@@ -1,6 +1,7 @@
 """Query planner: query -> (GHD, global attribute order, pipelining).
 
-Ties together the GHD optimizer, the attribute-order heuristics, and the
+Ties together the GHD optimizer, the attribute order (the sketch-bound
+search under +Attribute, appearance order otherwise), and the
 pipelineability rule (Definition 2) under one :class:`OptimizationConfig`.
 The resulting :class:`Plan` is interpreted by
 :class:`~repro.core.executor.GHDExecutor`.
@@ -10,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.attribute_order import (
-    global_attribute_order,
-    node_attribute_order,
-)
+from repro.core.attribute_order import appearance_order, node_attribute_order
 from repro.core.bounds import bound_attribute_order, selection_counts
 from repro.core.config import OptimizationConfig
 from repro.core.ghd import GHD
@@ -25,11 +23,7 @@ from repro.core.query import (
     Variable,
     normalize,
 )
-from repro.core.statistics import (
-    TableSketches,
-    estimate_variable_cardinalities,
-)
-from repro.storage.catalog import Catalog
+from repro.core.sketch import TableSketches
 
 
 @dataclass
@@ -42,10 +36,9 @@ class Plan:
     node_orders: dict[int, list[Variable]] = field(default_factory=dict)
     pipelined_child: int | None = None
     width: float = 0.0
-    cardinalities: dict[Variable, int] = field(default_factory=dict)
     config: OptimizationConfig = field(default_factory=OptimizationConfig)
     #: Per-variable pessimistic extension bounds under ``global_order``
-    #: (empty when the bound-driven order search did not run).
+    #: (empty without +Attribute, whose order search computes them).
     bounds: dict[Variable, int] = field(default_factory=dict)
     #: Sketched frequency of each selection value at plan time — the
     #: selectivity assumption per-value re-optimization checks against.
@@ -101,18 +94,19 @@ class Plan:
 
 
 class Planner:
-    """Produces :class:`Plan`s according to an optimization config."""
+    """Produces :class:`Plan`s according to an optimization config.
+
+    Planning reads only the frequency ``sketches`` (never the catalog's
+    columns): with +Attribute the order is the minimum-bound search of
+    :mod:`repro.core.bounds`, without it the GHD's appearance order.
+    """
 
     def __init__(
-        self,
-        catalog: Catalog,
-        config: OptimizationConfig | None = None,
-        sketches: TableSketches | None = None,
+        self, config: OptimizationConfig, sketches: TableSketches
     ) -> None:
-        self.catalog = catalog
-        self.config = config if config is not None else OptimizationConfig()
+        self.config = config
         self.sketches = sketches
-        self._ghd_optimizer = GHDOptimizer(self.config)
+        self._ghd_optimizer = GHDOptimizer(config)
 
     def plan(self, query: ConjunctiveQuery | NormalizedQuery) -> Plan:
         """Plan a query whose constants are already dictionary-encoded."""
@@ -122,29 +116,15 @@ class Planner:
             normalized = query
         hypergraph = Hypergraph.from_query(normalized)
         ghd = self._ghd_optimizer.decompose(normalized, hypergraph)
-        cardinalities: dict[Variable, int] = {}
-        if self.config.reorder_selections:
-            cardinalities = estimate_variable_cardinalities(
-                normalized, self.catalog
-            )
         bounds: dict[Variable, int] = {}
         assumed: dict[Variable, int] = {}
-        if (
-            self.config.reorder_selections
-            and self.config.bound_orders
-            and self.sketches
-        ):
+        if self.config.reorder_selections:
             order, bounds = bound_attribute_order(
                 normalized, ghd, self.sketches
             )
             assumed = selection_counts(normalized, self.sketches)
         else:
-            order = global_attribute_order(
-                normalized,
-                ghd,
-                reorder_selections=self.config.reorder_selections,
-                cardinalities=cardinalities or None,
-            )
+            order = appearance_order(normalized, ghd)
         node_orders = {
             node.node_id: node_attribute_order(node.chi, order)
             for node in ghd.nodes
@@ -155,7 +135,6 @@ class Planner:
             global_order=order,
             node_orders=node_orders,
             width=ghd.width(hypergraph),
-            cardinalities=cardinalities,
             config=self.config,
             bounds=bounds,
             assumed_counts=assumed,

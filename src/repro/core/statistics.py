@@ -1,39 +1,15 @@
-"""Plan-time statistics: frequency sketches and cardinality estimates.
+"""Atoms as catalog relations.
 
-Section III-B1 of the paper orders "attributes with selections or small
-initial cardinalities" first. The *initial cardinality* of a variable is
-the smallest number of distinct values any single atom can bind it to,
-taking that atom's own equality selections into account — e.g. in LUBM
-query 7 the variable ``y`` is bound by ``teacherOf(<AssociateProfessor0>,
-y)`` to only a couple of courses, so it should be enumerated before ``x``
-(all undergraduates).
-
-Distinct counts alone are wrong under skew (a celebrity value binds
-100k rows, the median value 5), so the store additionally maintains a
-:class:`FrequencySketch` per stored column: the exact value→count
-histogram, exposed as the usual "top-k hot values + residual
-distinct/total" summary. Keeping the histogram exact (it is two sorted
-arrays no larger than the column it summarizes) is what lets delta
-batches *merge* into it — add counts for inserted rows, subtract for
-tombstoned ones — with the invariant that incremental maintenance is
-byte-identical to a from-scratch rebuild, which the cluster tier relies
-on so replicated workers plan identically after replay catch-up.
+The executor and the pairwise baselines read an atom's rows through
+:func:`atom_relation`. Plan-time statistics are not here: planners read
+only the per-column frequency sketches of :mod:`repro.core.sketch`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.query import Atom, NormalizedQuery, Variable
-from repro.core.sketch import (  # noqa: F401  (re-exported: the sketch
-    DEFAULT_TOP_K,  # layer lives below storage; planners import it from
-    FrequencySketch,  # here alongside the estimators)
-    TableSketches,
-    build_table_sketches,
-    combine_sketches,
-    merge_table_sketches,
-)
-from repro.errors import ArityMismatchError
+from repro.core.query import Atom
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
@@ -70,63 +46,3 @@ def atom_relation(catalog: Catalog, atom: Atom) -> Relation:
     derived = Relation(derived_name, keep_attrs, keep_cols).filter(mask)
     # get_or_register: another thread may have derived it concurrently.
     return catalog.get_or_register(derived)
-
-
-def estimate_variable_cardinalities(
-    query: NormalizedQuery, catalog: Catalog
-) -> dict[Variable, int]:
-    """Per-variable distinct-count estimates (min across covering atoms).
-
-    Selection variables estimate to 1. For atoms carrying selections the
-    other variables' counts are computed on the *filtered* rows — this is
-    exact (our stats are whole-column scans) and cheap at LUBM scale; a
-    disk-based engine would read it off aggregate indexes the way RDF-3X
-    does.
-    """
-    estimates: dict[Variable, int] = {
-        var: 1 for var in query.selections
-    }
-    for atom in query.atoms:
-        relation = atom_relation(catalog, atom)
-        # The relation's columns are named by the atom's variables (and
-        # deduplicated for repeated variables), so index by name.
-        column_for = {
-            name: column
-            for name, column in zip(relation.attributes, relation.columns)
-        }
-        mask: np.ndarray | None = None
-        for var, value in (
-            (v, query.selections[v])
-            for v in atom.variables
-            if v in query.selections
-        ):
-            condition = column_for[var.name] == np.uint32(value)
-            mask = condition if mask is None else (mask & condition)
-        for var in dict.fromkeys(atom.variables):
-            if var in query.selections:
-                continue
-            column = column_for[var.name]
-            if mask is not None:
-                column = column[mask]
-            count = int(np.unique(column).size) if column.size else 0
-            current = estimates.get(var)
-            if current is None or count < current:
-                estimates[var] = count
-    return estimates
-
-
-def post_selection_rows(
-    query: NormalizedQuery, catalog: Catalog, atom: Atom
-) -> int:
-    """Row count of ``atom``'s relation after applying its selections."""
-    relation = atom_relation(catalog, atom)
-    column_for = {
-        name: column
-        for name, column in zip(relation.attributes, relation.columns)
-    }
-    mask = np.ones(relation.num_rows, dtype=bool)
-    for var in atom.variables:
-        value = query.selections.get(var)
-        if value is not None:
-            mask &= column_for[var.name] == np.uint32(value)
-    return int(mask.sum())

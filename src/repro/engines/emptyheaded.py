@@ -17,9 +17,11 @@ parameters — share one GHD, attribute order, and pipelining decision).
 A hit swaps the cached plan's selection values for the current ones,
 which is exactly the *late binding* a prepared statement needs:
 re-executing a template with new parameters re-binds constants without
-re-planning. (Cardinality estimates are computed for the first value
-seen and reused — the classic prepared-statement trade of per-value
-optimality for compilation cost.)
+re-planning. (The attach order is chosen from the sketched frequencies
+of the first value seen and reused — the classic prepared-statement
+trade of per-value optimality for compilation cost — until a value's
+frequency diverges far enough to re-optimize, see
+:meth:`EmptyHeadedEngine.plan_for`.)
 
 Update handling is **incremental** — this is the one engine that serves
 writes: :meth:`EmptyHeadedEngine.apply_delta` absorbs a store update by
@@ -28,9 +30,9 @@ their cached trie indexes are shared with the old catalog, affected
 relations are replaced, and their cached tries are spliced via
 :meth:`~repro.trie.trie.Trie.apply_delta`. Compiled plans survive (their
 cache key is structural and their execution reads whatever the current
-catalog holds; only their cardinality estimates go stale), so a small
-update costs work proportional to the *touched* tables instead of a
-full index rebuild. When the delta log no longer reaches back or the
+catalog holds; only the sketch bounds they were ordered by go stale),
+so a small update costs work proportional to the *touched* tables
+instead of a full index rebuild. When the delta log no longer reaches back or the
 pending batches exceed ``delta_rebuild_fraction`` of the store, catch-up
 builds from scratch through the constructor's own
 :meth:`~EmptyHeadedEngine._build_structures`. The
@@ -47,7 +49,12 @@ from dataclasses import replace
 from typing import Iterator, NamedTuple
 
 from repro.core.blocks import block_queries
-from repro.core.bounds import counts_diverge, selection_counts, value_class
+from repro.core.bounds import (
+    REOPTIMIZE_FACTOR,
+    counts_diverge,
+    selection_counts,
+    value_class,
+)
 from repro.core.config import OptimizationConfig
 from repro.core.executor import ExecutorStats, GHDExecutor
 from repro.core.planner import Plan, Planner
@@ -59,7 +66,7 @@ from repro.core.query import (
     normalize,
     substitute_parameters,
 )
-from repro.core.statistics import TableSketches
+from repro.core.sketch import TableSketches
 from repro.engines.base import Engine
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -145,7 +152,7 @@ class EmptyHeadedEngine(Engine):
         stats = previous.executor.stats if previous is not None else None
         self._structures = _Structures(
             catalog,
-            Planner(catalog, self.config, sketches=sketches),
+            Planner(self.config, sketches),
             GHDExecutor(catalog, stats=stats),
             sketches,
         )
@@ -185,11 +192,11 @@ class EmptyHeadedEngine(Engine):
 
         Unaffected relations and cached tries are shared; affected
         cached tries are spliced in place of a rebuild; compiled plans
-        and the structural plan cache survive (their cardinality
-        estimates go stale — the prepared-statement trade again) except
-        plans over just-**compacted** tables, which are evicted so the
-        next execution re-plans against freshly consolidated statistics
-        (see :meth:`_evict_plans_touching`).
+        and the structural plan cache survive (their attach orders were
+        chosen from the pre-batch sketches — the prepared-statement
+        trade again) except plans over just-**compacted** tables, which
+        are evicted so the next execution re-plans against the merged
+        sketches (see :meth:`_evict_plans_touching`).
 
         A registered ``__triples__`` union view is *patched* from the
         same batch (its three-column delta rows carry each predicate's
@@ -225,12 +232,13 @@ class EmptyHeadedEngine(Engine):
 
         Called when the store compacts a table's delta into a fresh
         main segment: the compaction is a physical no-op, but it marks
-        the point where enough delta accumulated that plans compiled
-        against pre-delta cardinality estimates have drifted. Evicting
-        them makes the next execution re-plan — and re-planning reads
-        the patched catalog's *current* columns, so the estimates are
-        recomputed rather than carried over. (The union view is always
-        included: its rows contain every compacted table's.)
+        the point where enough delta accumulated that plans ordered by
+        pre-delta sketch bounds have drifted. Evicting them makes the
+        next execution re-plan — and re-planning reads the epoch's
+        merged sketches, which already hold every committed batch, so
+        the bounds are current rather than carried over. (The union
+        view is always included: its rows contain every compacted
+        table's.)
         """
         with self._plan_lock:
             stale = [
@@ -304,7 +312,7 @@ class EmptyHeadedEngine(Engine):
         execution only swaps the selection values into the plan. With
         ``config.reoptimize``, a structural hit additionally checks the
         current values' sketched frequencies against the cached plan's
-        assumption: values within ``reoptimize_factor`` *retain* the
+        assumption: values within :data:`REOPTIMIZE_FACTOR` *retain* the
         plan (the fast path — two sketch probes), divergent values
         *re-optimize* into a plan cached under a
         ``(structure, selectivity-class)`` key, so each value class
@@ -330,10 +338,13 @@ class EmptyHeadedEngine(Engine):
             and normalized.selections
             and structures.sketches
         ):
-            factor = self.config.reoptimize_factor
             current = selection_counts(normalized, structures.sketches)
-            if counts_diverge(plan.assumed_counts, current, factor):
-                value_key = key + (value_class(current, factor),)
+            if counts_diverge(
+                plan.assumed_counts, current, REOPTIMIZE_FACTOR
+            ):
+                value_key = key + (
+                    value_class(current, REOPTIMIZE_FACTOR),
+                )
                 with self._plan_lock:
                     specialized = self._plan_cache.get(value_key)
                     if specialized is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import tempfile
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
@@ -63,6 +64,22 @@ def lock_order_sanitizer(monkeypatch):
             + "\n\n".join(violation.render() for violation in found),
             pytrace=False,
         )
+
+
+@pytest.fixture
+def array_sizes(monkeypatch):
+    """Record the input size of every ``np.unique`` / ``np.sort`` /
+    ``np.argsort`` call made while the test runs (the clock-free guards
+    that a path touches only its batch, never a whole column)."""
+    seen: list[int] = []
+    for name in ("unique", "sort", "argsort"):
+
+        def spy(array, *args, _original=getattr(np, name), **kwargs):
+            seen.append(int(np.asarray(array).size))
+            return _original(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,7 @@
 """Global attribute order heuristics (Sections II-C, III-B1)."""
 
-from repro.core.attribute_order import (
-    appearance_order,
-    global_attribute_order,
-    node_attribute_order,
-)
+from repro.core.attribute_order import appearance_order, node_attribute_order
+from repro.core.bounds import bound_attribute_order
 from repro.core.config import OptimizationConfig
 from repro.core.ghd_optimizer import GHDOptimizer
 from repro.core.query import (
@@ -14,6 +11,7 @@ from repro.core.query import (
     Variable,
     normalize,
 )
+from tests.util import catalog_of, sketches_of
 
 X, A = Variable("x"), Variable("a")
 
@@ -30,7 +28,7 @@ def test_example1_baseline_order_is_x_then_a():
     [x, a] — probing the second level for every x."""
     query = _example1_query()
     ghd = GHDOptimizer(OptimizationConfig.all_off()).decompose(query)
-    order = global_attribute_order(query, ghd, reorder_selections=False)
+    order = appearance_order(query, ghd)
     assert [v.name for v in order] == ["x", "_sel0"]
 
 
@@ -38,7 +36,8 @@ def test_example1_optimized_order_is_a_then_x():
     """With +Attribute the selection comes first: [a, x]."""
     query = _example1_query()
     ghd = GHDOptimizer(OptimizationConfig.all_on()).decompose(query)
-    order = global_attribute_order(query, ghd, reorder_selections=True)
+    sketches = sketches_of(catalog_of({"type": [(1, 42), (2, 42), (3, 7)]}))
+    order, _ = bound_attribute_order(query, ghd, sketches)
     assert [v.name for v in order] == ["_sel0", "x"]
 
 
@@ -55,36 +54,6 @@ def test_appearance_order_follows_bfs():
     # The root node's attributes come first.
     root_vars = ghd.root_node.chi
     assert set(order[: len(root_vars)]) == root_vars
-
-
-def test_small_cardinality_promotion():
-    y = Variable("y")
-    query = normalize(
-        ConjunctiveQuery((Atom("r", (X, y)),), (X, y))
-    )
-    ghd = GHDOptimizer().decompose(query)
-    order = global_attribute_order(
-        query,
-        ghd,
-        reorder_selections=True,
-        cardinalities={X: 100_000, y: 3},
-    )
-    assert order[0] == y
-
-
-def test_promotion_respects_threshold():
-    y = Variable("y")
-    query = normalize(
-        ConjunctiveQuery((Atom("r", (X, y)),), (X, y))
-    )
-    ghd = GHDOptimizer().decompose(query)
-    order = global_attribute_order(
-        query,
-        ghd,
-        reorder_selections=True,
-        cardinalities={X: 100, y: 50},  # both above the threshold
-    )
-    assert order[0] == X  # appearance order preserved
 
 
 def test_node_attribute_order_restricts_global():
@@ -121,9 +90,44 @@ def test_lubm_query2_order_selections_first():
         ),
         (x, y, z),
     )
-    plan = Planner(catalog, OptimizationConfig.all_on()).plan(query)
+    plan = Planner(OptimizationConfig.all_on(), sketches_of(catalog)).plan(
+        query
+    )
     names = [v.name for v in plan.global_order]
     # All three selection variables precede all of x, y, z.
     sel_positions = [i for i, n in enumerate(names) if n.startswith("_sel")]
     var_positions = [i for i, n in enumerate(names) if n in "xyz"]
     assert max(sel_positions) < min(var_positions)
+
+
+#: ``global_order`` of each paper query on LUBM(1), seed 0, all
+#: optimizations on: selections first everywhere, and Q7 enumerates the
+#: professor's few courses (Y) before the students taking them (X).
+PAPER_ORDERS = {
+    1: "_sel0 _sel1 X",
+    2: "_sel0 _sel1 _sel2 Y X Z",
+    3: "_sel0 _sel1 X",
+    4: "_sel0 _sel1 X Y1 Y2 Y3",
+    5: "_sel0 _sel1 X",
+    7: "_sel0 _sel1 _sel2 Y X",
+    8: "_sel0 _sel1 _sel2 X Z Y",
+    9: "_sel0 _sel1 _sel2 Z Y X",
+    11: "_sel0 _sel1 X",
+    12: "_sel0 _sel1 _sel2 X Y",
+    13: "_sel0 _sel1 X",
+    14: "_sel0 X",
+}
+
+
+def test_paper_query_orders_on_lubm(dataset, queries):
+    """Section III-B1 on real data, through the production planner."""
+    from repro.engines.emptyheaded import EmptyHeadedEngine
+
+    engine = EmptyHeadedEngine(dataset.store, OptimizationConfig.all_on())
+    orders = {}
+    for query_id, text in queries.items():
+        bound = engine.bind(engine.prepare_sparql(text))
+        inner, _ = engine.split_modifiers(bound)
+        plan = engine.plan_for(inner)
+        orders[query_id] = " ".join(v.name for v in plan.global_order)
+    assert orders == PAPER_ORDERS

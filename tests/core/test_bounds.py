@@ -1,9 +1,10 @@
 """Pessimistic bounds: value classes, divergence, and the attach-order
-search that replaces the flat small-cardinality promotion."""
+search that is the +Attribute order policy."""
 
 import numpy as np
 import pytest
 
+from repro.core.attribute_order import appearance_order
 from repro.core.bounds import (
     bound_attribute_order,
     counts_diverge,
@@ -172,20 +173,25 @@ def test_planner_uses_bound_order_and_reports_bounds(skewed_catalog):
             skewed_catalog.get("r").column("o"),],
         )
     }
-    planner = Planner(
-        skewed_catalog, OptimizationConfig.all_on(), sketches=sketches
-    )
+    planner = Planner(OptimizationConfig.all_on(), sketches)
     plan = planner.plan(ConjunctiveQuery((Atom("r", (X, Y)),), (X, Y)))
     assert [v.name for v in plan.global_order] == ["y", "x"]
     assert plan.bounds[Y] == 2
     assert "bounds:" in plan.explain()
 
 
-def test_planner_without_sketches_has_no_bounds(skewed_catalog):
-    """No sketch registry → the legacy threshold-promotion path: plans
-    carry no bounds and explain() omits the bounds line."""
-    planner = Planner(skewed_catalog, OptimizationConfig.all_on())
-    plan = planner.plan(ConjunctiveQuery((Atom("r", (X, Y)),), (X, Y)))
-    assert plan.bounds == {}
+def test_empty_registry_keeps_appearance_order():
+    """No sketch covers any atom: every unselected bound is unknown, so
+    the search ties everywhere and keeps the appearance order (after the
+    selections), reporting the unknown caps as ``?``."""
+    planner = Planner(OptimizationConfig.all_on(), {})
+    query = ConjunctiveQuery(
+        (Atom("r", (X, Y)), Atom("s", (Y, Constant(5)))), (X, Y)
+    )
+    plan = planner.plan(query)
+    sel = next(iter(plan.query.selections))
+    assert appearance_order(plan.query, plan.ghd) == [X, Y, sel]
+    assert plan.global_order == [sel, X, Y]
+    assert plan.bounds[sel] == 1
     assert plan.assumed_counts == {}
-    assert "bounds:" not in plan.explain()
+    assert "bounds: _sel0<=1  x<=?  y<=?" in plan.explain()

@@ -9,7 +9,7 @@ from repro.core.query import (
     Constant,
     Variable,
 )
-from tests.util import brute_force, catalog_of, run_query
+from tests.util import brute_force, catalog_of, run_query, sketches_of
 
 X, Y, Z, W = (Variable(n) for n in "xyzw")
 
@@ -188,7 +188,7 @@ def test_child_participant_projects_shared_attributes_in_order():
     from repro.storage.relation import Relation
 
     catalog = catalog_of({"r": [(0, 1)], "s": [(1, 2)]})
-    planner = Planner(catalog, OptimizationConfig.all_on())
+    planner = Planner(OptimizationConfig.all_on(), sketches_of(catalog))
     plan = planner.plan(
         ConjunctiveQuery((Atom("r", (X, Y)), Atom("s", (Y, Z))), (X, Z))
     )

@@ -70,6 +70,30 @@ def test_fhw_acyclic_is_one():
     assert GHDOptimizer().fhw(query) == pytest.approx(1.0)
 
 
+def test_decomposition_does_not_depend_on_earlier_queries():
+    """Atom indices name atoms of one query only: planning the triangle
+    first must not leak its widths into a query whose third atom covers
+    every variable (one width-1 node, as a fresh optimizer finds)."""
+
+    def shape(ghd):
+        return ghd.root, [
+            (n.chi, n.atom_indices, n.parent, n.children) for n in ghd.nodes
+        ]
+
+    triangle = _query(
+        Atom("r", (X, Y)), Atom("s", (Y, Z)), Atom("t", (Z, X))
+    )
+    covered = _query(
+        Atom("r", (X, Y)), Atom("s", (Y, Z)), Atom("u", (X, Y, Z))
+    )
+    fresh = GHDOptimizer().decompose(covered)
+    assert len(fresh.nodes) == 1
+    optimizer = GHDOptimizer()
+    optimizer.decompose(triangle)
+    assert shape(optimizer.decompose(covered)) == shape(fresh)
+    assert optimizer.fhw(covered) == pytest.approx(1.0)
+
+
 def test_single_node_mode():
     config = OptimizationConfig.all_off()
     query = _query(Atom("r", (X, Y)), Atom("s", (Y, Z)))

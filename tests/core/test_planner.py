@@ -1,5 +1,6 @@
 """Planner: plan assembly, node orders, pipelining rule."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
@@ -12,8 +13,16 @@ from repro.core.query import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
+from tests.util import sketches_of
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+
+def _planner(catalog, config=None):
+    return Planner(
+        config if config is not None else OptimizationConfig(),
+        sketches_of(catalog),
+    )
 
 
 @pytest.fixture()
@@ -37,7 +46,7 @@ def test_plan_basic_structure(catalog):
     query = ConjunctiveQuery(
         (Atom("r", (X, Y)), Atom("s", (X, Z))), (X, Y, Z)
     )
-    plan = Planner(catalog).plan(query)
+    plan = _planner(catalog).plan(query)
     assert set(plan.node_orders) == {
         n.node_id for n in plan.ghd.nodes
     }
@@ -49,7 +58,7 @@ def test_plan_explain_is_readable(catalog):
     query = ConjunctiveQuery(
         (Atom("r", (X, Y)), Atom("s", (X, Z))), (X, Y, Z)
     )
-    text = Planner(catalog).plan(query).explain()
+    text = _planner(catalog).plan(query).explain()
     assert "global order" in text
     assert "node 0" in text
 
@@ -59,7 +68,7 @@ def test_pipelineable_pair_detected(catalog):
     query = ConjunctiveQuery(
         (Atom("r", (X, Y)), Atom("s", (X, Z))), (X, Y, Z)
     )
-    plan = Planner(catalog, OptimizationConfig.all_on()).plan(query)
+    plan = _planner(catalog, OptimizationConfig.all_on()).plan(query)
     if len(plan.ghd.nodes) == 2:  # two-node plan: must be pipelineable
         assert plan.pipelined_child is not None
         child_order = plan.unselected_node_order(plan.pipelined_child)
@@ -71,7 +80,7 @@ def test_pipelining_disabled_by_config(catalog):
     query = ConjunctiveQuery(
         (Atom("r", (X, Y)), Atom("s", (X, Z))), (X, Y, Z)
     )
-    plan = Planner(
+    plan = _planner(
         catalog, OptimizationConfig.all_on().but(pipelining=False)
     ).plan(query)
     assert plan.pipelined_child is None
@@ -83,7 +92,7 @@ def test_non_prefix_share_not_pipelined(catalog):
     query = ConjunctiveQuery(
         (Atom("r", (X, Y)), Atom("s", (Y, Z))), (X, Y, Z)
     )
-    plan = Planner(catalog, OptimizationConfig.all_on()).plan(query)
+    plan = _planner(catalog, OptimizationConfig.all_on()).plan(query)
     root_order = plan.unselected_node_order(plan.ghd.root)
     if plan.pipelined_child is not None:
         child_order = plan.unselected_node_order(plan.pipelined_child)
@@ -93,26 +102,56 @@ def test_non_prefix_share_not_pipelined(catalog):
         assert child_order[:k] == shared
 
 
-def test_selection_cardinality_estimates(catalog):
+def test_selection_bounds(catalog):
     query = ConjunctiveQuery(
         (Atom("t", (X, Constant(7))), Atom("r", (X, Y))), (X, Y)
     )
-    plan = Planner(catalog, OptimizationConfig.all_on()).plan(query)
+    plan = _planner(catalog, OptimizationConfig.all_on()).plan(query)
     sel_var = next(iter(plan.query.selections))
-    assert plan.cardinalities[sel_var] == 1
-    assert plan.cardinalities[X] == 2  # two subjects with t.o = 7
+    assert plan.bounds[sel_var] == 1
+    assert plan.bounds[X] == 2  # two subjects with t.o = 7
+    assert plan.assumed_counts == {sel_var: 2}
 
 
-def test_baseline_has_no_estimates(catalog):
+def test_baseline_has_no_bounds(catalog):
     query = ConjunctiveQuery((Atom("r", (X, Y)),), (X, Y))
-    plan = Planner(catalog, OptimizationConfig.all_off()).plan(query)
-    assert plan.cardinalities == {}
+    plan = _planner(catalog, OptimizationConfig.all_off()).plan(query)
+    assert plan.bounds == {}
+    assert plan.assumed_counts == {}
+
+
+def test_fresh_planning_scans_no_column(array_sizes):
+    """Clock-free guard: planning reads the sketches, never a column —
+    no sort or unique over the 100 000-row relation's values."""
+    rows = 100_000
+    catalog = Catalog()
+    catalog.register(
+        Relation(
+            "r",
+            ("s", "o"),
+            (
+                np.arange(rows, dtype=np.uint32),
+                np.arange(rows, dtype=np.uint32)[::-1].copy(),
+            ),
+        )
+    )
+    catalog.register(
+        Relation.from_rows("t", ("s", "o"), [(1, 7), (2, 7), (3, 8)])
+    )
+    planner = _planner(catalog, OptimizationConfig.all_on())
+    query = ConjunctiveQuery(
+        (Atom("t", (X, Constant(7))), Atom("r", (X, Y))), (X, Y)
+    )
+    array_sizes.clear()
+    plan = planner.plan(query)
+    assert max(array_sizes, default=0) <= 32
+    assert plan.bounds[X] == 2
 
 
 def test_single_node_plan_when_ghd_disabled(catalog):
     query = ConjunctiveQuery(
         (Atom("r", (X, Y)), Atom("s", (X, Z))), (X, Y, Z)
     )
-    plan = Planner(catalog, OptimizationConfig.all_off()).plan(query)
+    plan = _planner(catalog, OptimizationConfig.all_off()).plan(query)
     assert len(plan.ghd.nodes) == 1
     assert plan.pipelined_child is None

@@ -175,21 +175,6 @@ class TestMergeCases:
         assert merged.to_bytes() == _rebuild_bytes([4, 4, 9, 6])
 
 
-@pytest.fixture
-def array_sizes(monkeypatch):
-    """Record the input size of every ``np.unique`` / ``np.sort`` /
-    ``np.argsort`` call made while the test runs."""
-    seen: list[int] = []
-    for name in ("unique", "sort", "argsort"):
-
-        def spy(array, *args, _original=getattr(np, name), **kwargs):
-            seen.append(int(np.asarray(array).size))
-            return _original(array, *args, **kwargs)
-
-        monkeypatch.setattr(np, name, spy)
-    return seen
-
-
 def _batch(base):
     """A 24-value batch over ``base``: 16 added (half already present,
     half new) and 8 removed (all present)."""

@@ -12,6 +12,7 @@ from repro.core.query import (
     Variable,
     normalize,
 )
+from repro.core.sketch import TableSketches, build_table_sketches
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.vertical import vertically_partition
@@ -33,6 +34,17 @@ def catalog_of(relations: dict[str, list[tuple[int, ...]]]) -> Catalog:
         attrs = [f"c{i}" for i in range(arity)]
         catalog.register(Relation.from_rows(name, attrs, rows))
     return catalog
+
+
+def sketches_of(catalog: Catalog) -> TableSketches:
+    """The frequency-sketch registry a store would hand the planner for
+    ``catalog``'s relations (one sketch per column)."""
+    return {
+        relation.name: build_table_sketches(
+            relation.attributes, relation.columns
+        )
+        for relation in catalog
+    }
 
 
 def brute_force(
@@ -96,6 +108,6 @@ def run_query(
     from repro.core.planner import Planner
 
     config = config if config is not None else OptimizationConfig()
-    planner = Planner(catalog, config)
+    planner = Planner(config, sketches_of(catalog))
     plan = planner.plan(normalize(query))
     return GHDExecutor(catalog).execute(plan).to_set()
