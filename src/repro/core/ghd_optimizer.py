@@ -31,7 +31,7 @@ from itertools import product
 from repro.core.agm import cover_number
 from repro.core.config import OptimizationConfig
 from repro.core.ghd import GHD, GHDNode
-from repro.core.hypergraph import Hypergraph
+from repro.core.hypergraph import Hyperedge, Hypergraph
 from repro.core.query import NormalizedQuery, Variable
 from repro.errors import PlanningError
 
@@ -123,31 +123,17 @@ class GHDOptimizer:
         )
         return GHD(nodes=[node], root=0)
 
+    @staticmethod
     def _node_width(
-        self,
-        query: NormalizedQuery,
+        edges: tuple[Hyperedge, ...],
         atom_indices: tuple[int, ...],
         cover_restriction: frozenset[Variable] | None,
     ) -> float:
-        chi: set[Variable] = set()
-        for i in atom_indices:
-            chi.update(query.atoms[i].variables)
-        targets = (
-            frozenset(chi)
-            if cover_restriction is None
-            else frozenset(chi) & cover_restriction
-        )
-        if not targets:
-            return 0.0
-        # Fast path: one atom (or any atom covering all targets) = width 1.
-        if any(
-            targets <= frozenset(query.atoms[i].variables)
-            for i in atom_indices
-        ):
-            return 1.0
-        hypergraph = Hypergraph.from_query(query)
-        edges = [hypergraph.edges[i] for i in atom_indices]
-        return cover_number(targets, edges)
+        """rho* of the block's variables (restricted) via its own edges."""
+        block = [edges[i] for i in atom_indices]
+        chi = frozenset().union(*(edge.vertices for edge in block))
+        targets = chi if cover_restriction is None else chi & cover_restriction
+        return cover_number(targets, block)
 
     def _candidates_over(
         self,
@@ -168,11 +154,12 @@ class GHDOptimizer:
         """
         if not atom_indices:
             raise PlanningError("cannot decompose zero atoms")
+        edges = Hypergraph.from_query(query).edges
         if len(atom_indices) > MAX_ENUMERATED_BLOCKS:
             ghd = self._restricted_single_node(query, atom_indices)
             return (
                 self._node_width(
-                    query, tuple(atom_indices), cover_restriction
+                    edges, tuple(atom_indices), cover_restriction
                 ),
                 [ghd],
             )
@@ -185,7 +172,7 @@ class GHDOptimizer:
             width = widths.get(block)
             if width is None:
                 width = widths[block] = self._node_width(
-                    query, block, cover_restriction
+                    edges, block, cover_restriction
                 )
             return width
 
