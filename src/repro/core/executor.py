@@ -324,9 +324,10 @@ class GHDExecutor:
         if not shared:
             return None
         names = [v.name for v in shared]
+        # distinct() leaves the rows sorted in ``names`` order: no re-sort.
         projected = child_result.project(names).distinct()
-        trie = Trie.from_relation(
-            projected, names, force_layout=plan.config.force_layout
+        trie = Trie.from_sorted_distinct(
+            projected.columns, names, force_layout=plan.config.force_layout
         )
         return Participant(
             trie=trie, attrs=tuple(shared), label=f"child{child_id}"

@@ -8,6 +8,8 @@ sorted merges of whole tuples reduce to one vectorized numpy call each.
 Two-column rows pack into ``uint64`` (``subject << 32 | object`` — the
 shape of every predicate table); wider rows pack into big-endian void
 records whose bytewise comparison *is* lexicographic tuple comparison.
+:func:`sorted_distinct_rows` is the one kernel that sorts and dedups
+rows; it returns input that is already sorted-distinct untouched.
 """
 
 from __future__ import annotations
@@ -61,6 +63,67 @@ def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
     return stacked.view(np.dtype((np.void, width))).ravel()
 
 
+def _strictly_increasing(columns: Sequence[np.ndarray]) -> bool:
+    """True when every row is lexicographically greater than the one
+    before it (sorted *and* distinct) — one comparison pass per column."""
+    first = columns[0]
+    greater = first[1:] > first[:-1]
+    if len(columns) > 1:
+        tied = first[1:] == first[:-1]
+        for column in columns[1:]:
+            greater |= tied & (column[1:] > column[:-1])
+            tied &= column[1:] == column[:-1]
+    return bool(greater.all())
+
+
+def _first_of_runs(changed: np.ndarray) -> np.ndarray | None:
+    """Keep-mask of the first row of each run of equal sorted rows, given
+    ``changed[i]`` = row ``i + 1`` differs from row ``i``; ``None`` when
+    every row is already distinct."""
+    if changed.all():
+        return None
+    return np.concatenate(([True], changed))
+
+
+def sorted_distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The distinct rows of parallel columns, in lexicographic order.
+
+    The one row-sorting kernel of trie building and
+    ``Relation.distinct``:
+
+    1. Rows that are already strictly increasing — every predicate table
+       the store hands out is sorted-distinct by (subject, object) — come
+       back as the input arrays themselves, after an O(n·k) scan.
+    2. One or two columns sort as scalar keys (:func:`pack_pairs` for
+       two): one ``np.sort``, then a drop of adjacent equal keys. Never
+       a flag-less ``np.unique``, which numpy 2.4 routes to a hash path
+       several times slower than sorting on keys like these.
+    3. Three or more columns (the ``__triples__`` view) lexsort.
+
+    One column may have any integer dtype (packed ``uint64`` keys
+    included) and keeps it; wider rows are ``uint32`` columns.
+    """
+    cols = tuple(np.asarray(c) for c in columns)
+    if not cols or cols[0].shape[0] < 2 or _strictly_increasing(cols):
+        return cols
+    if len(cols) == 1:
+        keys = np.sort(cols[0])
+    elif len(cols) == 2:
+        keys = np.sort(pack_pairs(cols[0], cols[1]))
+    else:
+        order = np.lexsort(cols[::-1])
+        cols = tuple(c[order] for c in cols)
+        changed = cols[0][1:] != cols[0][:-1]
+        for column in cols[1:]:
+            changed |= column[1:] != column[:-1]
+        keep = _first_of_runs(changed)
+        return cols if keep is None else tuple(c[keep] for c in cols)
+    keep = _first_of_runs(keys[1:] != keys[:-1])
+    if keep is not None:
+        keys = keys[keep]
+    return (keys,) if len(cols) == 1 else unpack_pairs(keys)
+
+
 def rows_isin(
     columns: Sequence[np.ndarray], other_columns: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -79,7 +142,7 @@ def merge_sorted_unique(sorted_keys: np.ndarray, new_keys: np.ndarray) -> np.nda
     """
     if not new_keys.size:
         return sorted_keys
-    new_keys = np.unique(new_keys)
+    (new_keys,) = sorted_distinct_rows([new_keys])
     if sorted_keys.size:
         positions = np.searchsorted(sorted_keys, new_keys)
         clipped = np.minimum(positions, sorted_keys.shape[0] - 1)

@@ -8,6 +8,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.nputil import sorted_distinct_rows
+
 VALUE_DTYPE = np.uint32
 """All set elements are dictionary-encoded 32-bit unsigned integers."""
 
@@ -127,7 +129,8 @@ def as_value_array(values: object) -> np.ndarray:
         if arr.min() < info.min or arr.max() > info.max:
             raise ValueError("set values must fit in uint32")
         arr = arr.astype(VALUE_DTYPE)
-    return np.unique(arr)
+    (arr,) = sorted_distinct_rows([arr])
+    return arr
 
 
 class _EmptySet(OrderedSet):

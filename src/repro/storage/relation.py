@@ -2,7 +2,8 @@
 
 A :class:`Relation` is the unit every engine consumes and produces:
 a named tuple of equally long ``uint32`` numpy columns. All bulk
-operations (selection, projection, dedup, sort, semijoin) are vectorized.
+operations (selection, projection, dedup, concat) are vectorized; dedup
+sorts through :func:`repro.nputil.sorted_distinct_rows`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import StorageError
+from repro.nputil import sorted_distinct_rows
 
 VALUE_DTYPE = np.uint32
 
@@ -174,22 +176,12 @@ class Relation:
         return self.slice_rows(0, n)
 
     def distinct(self) -> "Relation":
-        """Remove duplicate rows (sorts as a side effect)."""
-        if self.num_rows == 0 or self.arity == 0:
+        """Remove duplicate rows, leaving them sorted by the attributes in
+        order. A relation already sorted-distinct is returned as is."""
+        columns = sorted_distinct_rows(self.columns)
+        if all(new is old for new, old in zip(columns, self.columns)):
             return self
-        order = np.lexsort(tuple(reversed(self.columns)))
-        sorted_cols = [c[order] for c in self.columns]
-        keep = np.zeros(self.num_rows, dtype=bool)
-        keep[0] = True
-        for col in sorted_cols:
-            keep[1:] |= col[1:] != col[:-1]
-        return Relation(self.name, self.attributes, [c[keep] for c in sorted_cols])
-
-    def sort_by(self, attributes: Sequence[str]) -> "Relation":
-        """Rows sorted lexicographically by ``attributes``."""
-        keys = [self.column(a) for a in attributes]
-        order = np.lexsort(tuple(reversed(keys)))
-        return self.take(order)
+        return Relation(self.name, self.attributes, columns)
 
     def concat(self, other: "Relation") -> "Relation":
         """Union-all with another relation over the same attributes."""

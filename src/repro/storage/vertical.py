@@ -22,7 +22,11 @@ vectorized ``searchsorted`` calls that scale with the **batch**, never
 with the store.
 
 * **Merge-on-read** — the public ``tables`` mapping always exposes the
-  logical content (``main − tombstones + inserts``). The merged
+  logical content (``main − tombstones + inserts``), spliced in key
+  order, so **every table is sorted-distinct by (subject, object) at
+  every epoch**: at load, after any batch, after compaction, and in
+  every snapshot. Trie building relies on it — a (subject, object) trie
+  over a store table is a linear scan, never a sort. The merged
   relation per table is cached and refreshed only for the tables a
   batch touches; the mapping itself is *replaced wholesale* on every
   commit so a concurrent reader that grabbed a reference sees one
@@ -70,6 +74,7 @@ from repro.nputil import (
     pack_pairs,
     remove_sorted,
     rows_isin,
+    sorted_distinct_rows,
     unpack_pairs,
 )
 from repro.storage.dictionary import Dictionary
@@ -198,15 +203,17 @@ class _TableSegments:
     def main_keys(self) -> np.ndarray:
         """Sorted unique packed keys of the main segment, built lazily.
 
-        np.unique both sorts and dedups, so arbitrary initial tables
-        satisfy the sorted-unique key invariant every set op relies on.
-        Laziness matters for read-only consumers — shared-memory worker
-        processes adopt whole epochs of tables and never mutate them, so
-        they must not pay an O(main) pack+sort per table on attach.
+        A sorted-distinct main (every main this module builds) costs one
+        pack and one check; the kernel still sorts and dedups any other
+        table, so the sorted-unique key invariant every set op relies on
+        always holds. Laziness matters for read-only consumers —
+        shared-memory worker processes adopt whole epochs of tables and
+        never mutate them, so they must not pay an O(main) pack per
+        table on attach.
         """
         if self._main_keys is None:
-            self._main_keys = np.unique(
-                pack_pairs(self.main.column(SUBJECT), self.main.column(OBJECT))
+            (self._main_keys,) = sorted_distinct_rows(
+                [pack_pairs(self.main.column(SUBJECT), self.main.column(OBJECT))]
             )
         return self._main_keys
 
@@ -229,10 +236,8 @@ class _TableSegments:
         if not self.delta_rows:
             return self.main
         keys = remove_sorted(self.main_keys, self.tombstones)
-        if self.inserts.size:
-            keys = np.concatenate([keys, self.inserts])
-        subjects, objects = unpack_pairs(keys)
-        return Relation(name, (SUBJECT, OBJECT), (subjects, objects))
+        keys = merge_sorted_unique(keys, self.inserts)
+        return _pair_relation(name, keys)
 
     def add(self, keys: np.ndarray) -> np.ndarray:
         """Insert packed pair keys; returns the keys actually new.
@@ -240,7 +245,7 @@ class _TableSegments:
         Keys currently tombstoned are revived (their tombstone drops);
         keys already live are ignored; the rest join ``inserts``.
         """
-        keys = np.unique(keys)
+        (keys,) = sorted_distinct_rows([keys])
         revived = keys[isin_sorted(keys, self.tombstones)]
         in_main = isin_sorted(keys, self.main_keys)
         fresh = keys[~in_main & ~isin_sorted(keys, self.inserts)]
@@ -254,7 +259,7 @@ class _TableSegments:
 
     def remove(self, keys: np.ndarray) -> np.ndarray:
         """Delete packed pair keys; returns the keys actually removed."""
-        keys = np.unique(keys)
+        (keys,) = sorted_distinct_rows([keys])
         from_inserts = keys[isin_sorted(keys, self.inserts)]
         in_main = isin_sorted(keys, self.main_keys)
         doomed = keys[in_main & ~isin_sorted(keys, self.tombstones)]
@@ -270,8 +275,7 @@ class _TableSegments:
         """Merge the delta into a fresh main segment (logical no-op)."""
         keys = remove_sorted(self.main_keys, self.tombstones)
         keys = merge_sorted_unique(keys, self.inserts)
-        subjects, objects = unpack_pairs(keys)
-        self.main = Relation(name, (SUBJECT, OBJECT), (subjects, objects))
+        self.main = _pair_relation(name, keys)
         self.main_keys = keys
         self.inserts = np.empty(0, dtype=np.uint64)
         self.tombstones = np.empty(0, dtype=np.uint64)

@@ -16,6 +16,15 @@ A *node* at depth ``d`` (``d`` = number of bound attributes) is addressed
 by its index into ``values[d - 1]``; the root is depth 0. Set objects are
 built lazily per node and cached, so repeated probes of hot prefixes pay
 the layout-construction cost once.
+
+Building sorts only what does not arrive sorted. The store keeps every
+predicate table sorted-distinct by (subject, object), so a trie in that
+order is a linear scan over the table's own columns; the
+(object, subject) trie sorts the table once as packed ``uint64`` keys;
+only the three-column ``__triples__`` view needs a multi-key sort. All
+three cases are :func:`~repro.nputil.sorted_distinct_rows`. Rows that
+are sorted-distinct by construction (a GHD child's ``distinct()``
+result, a delta patch) go straight to :meth:`Trie.from_sorted_distinct`.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StorageError
-from repro.nputil import grouped_ranges
+from repro.nputil import grouped_ranges, sorted_distinct_rows
 from repro.sets.base import VALUE_DTYPE, EMPTY_SET, OrderedSet, SetLayout
 from repro.sets.layout import build_set_from_sorted
 
@@ -40,6 +49,14 @@ class TrieNode:
 
 
 ROOT = TrieNode(0, 0)
+
+
+def _level_offsets(starts: np.ndarray, end: int) -> np.ndarray:
+    """CSR offsets: each parent's first child position, then ``end``."""
+    offsets = np.empty(starts.shape[0] + 1, dtype=np.int64)
+    offsets[:-1] = starts
+    offsets[-1] = end
+    return offsets
 
 
 class Trie:
@@ -84,39 +101,23 @@ class Trie:
     ) -> "Trie":
         """Build a trie from parallel ``uint32`` columns.
 
-        Tuples are sorted lexicographically and deduplicated; every level
-        is derived with vectorized prefix-change scans (no Python loop
-        over rows).
+        The rows go through :func:`~repro.nputil.sorted_distinct_rows`:
+        rows that arrive sorted-distinct in this column order (a store
+        table in (subject, object) order) are only checked, one or two
+        columns in any other order are sorted as packed ``uint64`` keys
+        (one ``np.sort``), and only three or more columns take a
+        multi-key sort. The levels are then derived by
+        :meth:`from_sorted_distinct`.
         """
         if len(columns) != len(attributes):
             raise StorageError("column/attribute count mismatch")
         if not columns:
             raise StorageError("cannot build a trie with zero attributes")
         cols = [np.asarray(c, dtype=VALUE_DTYPE) for c in columns]
-        n = cols[0].shape[0]
-        for c in cols:
-            if c.shape[0] != n:
-                raise StorageError("ragged columns")
-        if n == 0:
-            values = [np.empty(0, dtype=VALUE_DTYPE) for _ in cols]
-            offsets = [
-                np.zeros(1, dtype=np.int64) for _ in range(len(cols) - 1)
-            ]
-            return cls(attributes, values, offsets, force_layout, 0)
-
-        order = np.lexsort(tuple(reversed(cols)))
-        cols = [c[order] for c in cols]
-
-        # Drop duplicate tuples.
-        dup = np.ones(n, dtype=bool)
-        dup[0] = False
-        for c in cols:
-            dup[1:] &= c[1:] == c[:-1]
-        if dup.any():
-            keep = ~dup
-            cols = [c[keep] for c in cols]
+        if any(c.shape[0] != cols[0].shape[0] for c in cols):
+            raise StorageError("ragged columns")
         return cls.from_sorted_distinct(
-            cols, attributes, force_layout=force_layout
+            sorted_distinct_rows(cols), attributes, force_layout=force_layout
         )
 
     @classmethod
@@ -128,8 +129,15 @@ class Trie:
         force_layout: SetLayout | None = None,
     ) -> "Trie":
         """Build from columns already lexicographically sorted and
-        deduplicated — the delta-patching fast path: a linear pass of
-        prefix-change scans with **no re-sort** of the data.
+        deduplicated: a linear pass of prefix-change scans with **no
+        re-sort** of the data.
+
+        Level ``i`` keeps the rows that start a new length-``i + 1``
+        prefix (``positions``); a parent's children begin where its own
+        first row lands among them, so the offsets are one
+        ``searchsorted`` of the parent positions. Rows are distinct, so
+        the last level is the last column itself (no copy) and its
+        parents' offsets are their row positions.
         """
         cols = [np.asarray(c, dtype=VALUE_DTYPE) for c in cols]
         n = cols[0].shape[0]
@@ -139,30 +147,28 @@ class Trie:
                 np.zeros(1, dtype=np.int64) for _ in range(len(cols) - 1)
             ]
             return cls(attributes, values, offsets, force_layout, 0)
-        # new[i][j] == True iff row j starts a new distinct prefix of
-        # length i + 1. new[i] is monotone in i (longer prefixes split
-        # groups further).
         values: list[np.ndarray] = []
         offsets: list[np.ndarray] = []
+        # new[j] is True iff row j starts a new distinct prefix of the
+        # columns seen so far (longer prefixes only split groups further).
         new = np.zeros(n, dtype=bool)
         new[0] = True
         prev_positions: np.ndarray | None = None
-        prev_new_cum: np.ndarray | None = None
-        for col in cols:
-            new = new.copy()
+        for col in cols[:-1]:
             new[1:] |= col[1:] != col[:-1]
-            positions = np.nonzero(new)[0]
+            positions = np.flatnonzero(new)
             values.append(col[positions])
             if prev_positions is not None:
-                cum = np.cumsum(new)
-                level_offsets = np.empty(
-                    prev_positions.shape[0] + 1, dtype=np.int64
+                offsets.append(
+                    _level_offsets(
+                        np.searchsorted(positions, prev_positions),
+                        positions.shape[0],
+                    )
                 )
-                level_offsets[:-1] = cum[prev_positions] - 1
-                level_offsets[-1] = positions.shape[0]
-                offsets.append(level_offsets)
             prev_positions = positions
-            prev_new_cum = None  # noqa: F841 - readability only
+        values.append(cols[-1])
+        if prev_positions is not None:
+            offsets.append(_level_offsets(prev_positions, n))
         return cls(attributes, values, offsets, force_layout, n)
 
     @classmethod

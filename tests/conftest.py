@@ -67,15 +67,16 @@ def lock_order_sanitizer(monkeypatch):
 
 
 @pytest.fixture
-def array_sizes(monkeypatch):
-    """Record the input size of every ``np.unique`` / ``np.sort`` /
-    ``np.argsort`` call made while the test runs (the clock-free guards
-    that a path touches only its batch, never a whole column)."""
-    seen: list[int] = []
-    for name in ("unique", "sort", "argsort"):
+def sort_calls(monkeypatch):
+    """Record ``(function, input size)`` of every ``np.unique`` /
+    ``np.sort`` / ``np.argsort`` / ``np.lexsort`` call made while the
+    test runs (the clock-free guards that a path sorts only its batch,
+    or nothing, never a whole column)."""
+    seen: list[tuple[str, int]] = []
+    for name in ("unique", "sort", "argsort", "lexsort"):
 
-        def spy(array, *args, _original=getattr(np, name), **kwargs):
-            seen.append(int(np.asarray(array).size))
+        def spy(array, *args, _name=name, _original=getattr(np, name), **kwargs):
+            seen.append((_name, int(np.asarray(array).size)))
             return _original(array, *args, **kwargs)
 
         monkeypatch.setattr(np, name, spy)
