@@ -8,18 +8,24 @@ triple stream and update batches. Canonical result order is defined over
 encoded keys, so identical keys are what make sharded execution
 row-for-row (and byte-for-byte) identical to single-store execution.
 
-Two pieces enforce it:
+Three pieces enforce it:
 
 * :func:`shard_of` — a stable FNV-1a hash of the *subject string*, so a
   triple's home shard is a pure function of the data (no process state,
   no salt). Every atom group that shares a subject term therefore lands
-  wholly on one shard.
+  wholly on one shard. :func:`subject_hashes` is the same hash over many
+  terms at once.
+* :func:`split_by_subject` — a load encodes the stream exactly once, by
+  ``vertically_partition`` into one store, and then splits that store's
+  encoded tables by the home shard of each row's subject. The single
+  store's loader is the only encoder, so the dictionary is identical by
+  construction.
 * :func:`pre_encode_add` — replays the exact encode order of
-  ``VerticallyPartitionedStore.add_triples`` / ``vertically_partition``
-  against the shared dictionary *before* the batch is split per shard:
-  all subjects/objects in stream order, then the first-occurring
-  predicate IRI of each genuinely new table. Re-encoding inside the
-  shard stores is then a no-op, regardless of routing.
+  ``VerticallyPartitionedStore.add_triples`` against the shared
+  dictionary *before* an update batch is split per shard: all
+  subjects/objects in stream order, then the first-occurring predicate
+  IRI of each genuinely new table. Re-encoding inside the shard stores
+  is then a no-op, regardless of routing.
 
 :func:`apply_routed_update` is the worker-side mirror: shard worker
 processes replay the *full* batch through the same pre-encode (keeping
@@ -31,8 +37,15 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 
+import numpy as np
+
 from repro.storage.dictionary import Dictionary
-from repro.storage.vertical import VerticallyPartitionedStore, local_name
+from repro.storage.relation import Relation
+from repro.storage.vertical import (
+    SUBJECT,
+    VerticallyPartitionedStore,
+    local_name,
+)
 
 Triple = tuple[str, str, str]
 
@@ -55,6 +68,40 @@ def subject_hash(subject: str) -> int:
     return value
 
 
+def subject_hashes(terms: Sequence[str]) -> np.ndarray:
+    """:func:`subject_hash` of every term, as one ``uint64`` array.
+
+    Bit-for-bit equal to the scalar hash. Terms are visited longest
+    first, so the terms still holding a byte at position ``j`` are a
+    prefix of that order and each byte position is one vectorized
+    xor-multiply over that prefix.
+    """
+    count = len(terms)
+    lengths = np.fromiter(
+        (len(term.encode("utf-8")) for term in terms),
+        dtype=np.int64,
+        count=count,
+    )
+    blob = np.frombuffer("".join(terms).encode("utf-8"), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    offsets = starts[order]
+    longest = int(lengths[order[0]]) if count else 0
+    # live[j]: how many terms are longer than j bytes.
+    live = np.searchsorted(
+        -lengths[order], -np.arange(longest), side="left"
+    )
+    folded = np.full(count, _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for position, size in enumerate(live.tolist()):
+        block = folded[:size]
+        block ^= blob[offsets[:size] + position]
+        block *= prime
+    hashes = np.empty(count, dtype=np.uint64)
+    hashes[order] = folded
+    return hashes
+
+
 def shard_of(subject: str, shard_count: int) -> int:
     """The home shard for a subject under ``shard_count`` shards."""
     return subject_hash(subject) % shard_count
@@ -70,22 +117,47 @@ def route_triples(
     return buckets
 
 
-def pre_encode_load(
-    dictionary: Dictionary, triples: Sequence[Triple]
-) -> None:
-    """Assign keys for a *load* exactly like ``vertically_partition``.
+def split_by_subject(
+    store: VerticallyPartitionedStore, shard_count: int
+) -> list[VerticallyPartitionedStore]:
+    """Split a loaded store's encoded tables into subject-hash shards.
 
-    Subjects and objects in stream order first, then each predicate IRI
-    in first-occurrence order of its local table name.
+    Each distinct subject key is hashed once; every table then gives
+    shard ``k`` the rows whose subject lives on ``k``. A row subset of a
+    sorted-distinct table is sorted-distinct, so shard tables need no
+    re-sort. A shard holds only its non-empty tables, in ``store``'s
+    table order, with their ``predicate_iris`` entries, and shares
+    ``store``'s dictionary (no term is encoded here).
     """
-    encode = dictionary.encode
-    predicate_iris: dict[str, str] = {}
-    for subject, predicate, obj in triples:
-        encode(subject)
-        encode(obj)
-        predicate_iris.setdefault(local_name(predicate), predicate)
-    for iri in predicate_iris.values():
-        encode(iri)
+    dictionary = store.dictionary
+    is_subject = np.zeros(len(dictionary), dtype=bool)
+    for relation in store.tables.values():
+        is_subject[relation.column(SUBJECT)] = True
+    subject_keys = np.flatnonzero(is_subject)
+    home = np.zeros(len(dictionary), dtype=np.uint32)
+    home[subject_keys] = subject_hashes(
+        dictionary.decode_many(subject_keys)
+    ) % np.uint64(shard_count)
+    shard_tables: list[dict[str, Relation]] = [
+        {} for _ in range(shard_count)
+    ]
+    for name, relation in store.tables.items():
+        owner = home[relation.column(SUBJECT)]
+        for index, tables in enumerate(shard_tables):
+            part = relation.filter(owner == index)
+            if part.num_rows:
+                tables[name] = part
+    return [
+        VerticallyPartitionedStore(
+            dictionary=dictionary,
+            tables=tables,
+            predicate_iris={
+                name: store.predicate_iris[name] for name in tables
+            },
+            num_triples=sum(r.num_rows for r in tables.values()),
+        )
+        for tables in shard_tables
+    ]
 
 
 def pre_encode_add(
@@ -153,9 +225,10 @@ def apply_routed_update(
 __all__ = [
     "Triple",
     "subject_hash",
+    "subject_hashes",
     "shard_of",
     "route_triples",
-    "pre_encode_load",
+    "split_by_subject",
     "pre_encode_add",
     "apply_routed_update",
 ]

@@ -38,9 +38,9 @@ from repro.core.sketch import TableSketches, combine_sketches
 from repro.distributed.partition import (
     Triple,
     pre_encode_add,
-    pre_encode_load,
     route_triples,
     shard_of,
+    split_by_subject,
 )
 from repro.errors import ConfigError
 from repro.storage.dictionary import Dictionary
@@ -141,24 +141,22 @@ class ShardedStore:
     ) -> "ShardedStore":
         """Load a triple stream into ``shard_count`` shards.
 
-        The full stream is key-assigned first, in the exact order
-        ``vertically_partition`` would use for a single store; each
-        shard then adopts its bucket with the shared dictionary, where
-        every encode is a no-op. The resulting dictionary is
-        byte-identical to the single store's.
+        The stream is encoded once, by ``vertically_partition`` into a
+        single store, whose encoded tables are then split by the home
+        shard of each row's subject (:func:`split_by_subject`). The
+        single-store loader is the only encoder, so the dictionary is
+        the single store's by construction; each shard holds exactly
+        the sorted-distinct rows a per-shard load of its subjects'
+        triples would hold.
         """
         if shard_count < 1:
             raise ConfigError(f"shard_count must be >= 1, got {shard_count}")
-        triples = list(triples)
-        dictionary = dictionary if dictionary is not None else Dictionary()
-        pre_encode_load(dictionary, triples)
-        shards = []
-        for bucket in route_triples(triples, shard_count):
-            shard = vertically_partition(bucket, dictionary)
-            if delta_config is not None:
+        loaded = vertically_partition(triples, dictionary)
+        shards = split_by_subject(loaded, shard_count)
+        if delta_config is not None:
+            for shard in shards:
                 shard.delta_config = delta_config
-            shards.append(shard)
-        return cls(shards, dictionary)
+        return cls(shards, loaded.dictionary)
 
     # ------------------------------------------------------------------
     # Epoch access
@@ -380,10 +378,14 @@ class ShardedStore:
 def _pair_present(
     table: Relation, subject_key: int, object_key: int
 ) -> bool:
-    mask = (table.column("subject") == np.uint32(subject_key)) & (
-        table.column("object") == np.uint32(object_key)
-    )
-    return bool(mask.any())
+    """Binary-search membership in a table sorted by (subject, object)."""
+    subjects = table.column("subject")
+    subject = np.uint32(subject_key)
+    start = int(np.searchsorted(subjects, subject, side="left"))
+    stop = int(np.searchsorted(subjects, subject, side="right"))
+    objects = table.column("object")[start:stop]
+    index = int(np.searchsorted(objects, np.uint32(object_key)))
+    return index < objects.size and int(objects[index]) == object_key
 
 
 __all__ = ["EpochLock", "ShardedStore", "UpdateBatch", "UpdateHook"]

@@ -558,6 +558,7 @@ class VerticallyPartitionedStore:
         the triple is skipped — it cannot be stored under any key.
         """
         grouped: dict[str, tuple[list[int], list[int], str]] = {}
+        names: dict[str, str] = {}
         for subject, predicate, obj in triples:
             if encode:
                 s_key = self.dictionary.encode(subject)
@@ -568,7 +569,9 @@ class VerticallyPartitionedStore:
                 if s_lookup is None or o_lookup is None:
                     continue
                 s_key, o_key = s_lookup, o_lookup
-            name = local_name(predicate)
+            name = names.get(predicate)
+            if name is None:
+                name = names[predicate] = local_name(predicate)
             bucket = grouped.get(name)
             if bucket is None:
                 bucket = ([], [], predicate)
@@ -877,9 +880,12 @@ def vertically_partition(
     dictionary = dictionary if dictionary is not None else Dictionary()
     buffers: dict[str, tuple[list[int], list[int]]] = {}
     predicate_iris: dict[str, str] = {}
+    names: dict[str, str] = {}
     encode = dictionary.encode
     for subject, predicate, obj in triples:
-        name = local_name(predicate)
+        name = names.get(predicate)
+        if name is None:
+            name = names[predicate] = local_name(predicate)
         buffer = buffers.get(name)
         if buffer is None:
             buffer = ([], [])

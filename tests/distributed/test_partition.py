@@ -1,13 +1,16 @@
-"""Subject-hash routing and the load/update pre-encode order."""
+"""Subject hashing, routing and the update pre-encode order."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.partition import (
     pre_encode_add,
-    pre_encode_load,
     route_triples,
     shard_of,
     subject_hash,
+    subject_hashes,
 )
-from repro.storage.dictionary import Dictionary
 from repro.storage.vertical import vertically_partition
 
 EX = "http://ex/"
@@ -30,6 +33,26 @@ def test_subject_hash_is_stable_fnv1a():
     assert subject_hash("a") == 0xAF63DC4C8601EC8C
     assert subject_hash("") == 0xCBF29CE484222325
     assert subject_hash("a") != subject_hash("b")
+
+
+# Every code point but lone surrogates, which no UTF-8 term can hold.
+@given(
+    st.lists(
+        st.text(alphabet=st.characters(exclude_categories=["Cs"])),
+        max_size=12,
+    )
+)
+@example([])
+@example([""])
+@example(["", "a", "", "ab"])
+@example(["Ünïcödé", "日本語", "a"])
+@example(["\U0001f600", "x\U00010348y", "\U0010ffff", ""])
+@settings(max_examples=200)
+def test_subject_hashes_match_scalar_hash(terms):
+    hashes = subject_hashes(terms)
+    assert hashes.dtype == np.uint64
+    assert hashes.shape == (len(terms),)
+    assert [int(h) for h in hashes] == [subject_hash(t) for t in terms]
 
 
 def test_shard_of_is_in_range_and_deterministic():
@@ -55,19 +78,10 @@ def test_route_triples_keeps_subjects_whole():
         ]
 
 
-def test_pre_encode_load_matches_single_store_dictionary():
-    graph = _graph()
-    single = vertically_partition(list(graph))
-    dictionary = Dictionary()
-    pre_encode_load(dictionary, list(graph))
-    assert list(dictionary.items()) == list(single.dictionary.items())
-
-
 def test_pre_encode_add_matches_single_store_update_order():
     graph = _graph()
     single = vertically_partition(list(graph))
-    dictionary = Dictionary()
-    pre_encode_load(dictionary, list(graph))
+    dictionary = vertically_partition(list(graph)).dictionary
 
     batch = [
         (f"<{EX}new0>", f"<{EX}freshPred>", f"<{EX}new1>"),
@@ -86,8 +100,7 @@ def test_pre_encode_add_skips_predicates_for_known_tables():
     reproduce that exactly (known_tables is the cross-shard union)."""
     graph = [(f"<{EX}s0>", f"<{EX}a/knows>", f"<{EX}s1>")]
     single = vertically_partition(list(graph))
-    dictionary = Dictionary()
-    pre_encode_load(dictionary, list(graph))
+    dictionary = vertically_partition(list(graph)).dictionary
 
     batch = [(f"<{EX}s2>", f"<{EX}b/knows>", f"<{EX}s0>")]
     known = frozenset(single.tables)

@@ -1,13 +1,16 @@
 """ShardedStore: dictionary identity, facade parity, unified epoch."""
 
+import random
 import threading
 
 import pytest
 
-from repro.distributed.store import EpochLock, ShardedStore
+from repro.distributed import partition as partition_module
+from repro.distributed.partition import route_triples
+from repro.distributed.store import EpochLock, ShardedStore, _pair_present
 from repro.errors import ConfigError
 from repro.storage.dictionary import Dictionary
-from repro.storage.vertical import vertically_partition
+from repro.storage.vertical import local_name, vertically_partition
 
 EX = "http://ex/"
 
@@ -168,3 +171,166 @@ def test_coordinator_membership_probes(pair):
             (o, p, s) in _graph()
         )
         assert sharded.contains_triple_locked(s_key, p_key, o_key)
+
+
+def _mixed_graph(seed=11, n=3000):
+    """Duplicates, literals, non-ASCII subjects, and a predicate used by
+    one subject only (so every shard but one lacks that table)."""
+    rng = random.Random(seed)
+    subjects = [f"<{EX}s{i}>" for i in range(150)] + [
+        f"<{EX}sé{i}>" for i in range(10)
+    ] + [f"<{EX}s\U0001f600{i}>" for i in range(5)]
+    objects = subjects[:40] + [f'"lit{i}"' for i in range(30)]
+    graph = [
+        (rng.choice(subjects), f"<{EX}p{rng.randrange(6)}>",
+         rng.choice(objects))
+        for _ in range(n)
+    ]
+    graph.append((subjects[0], f"<{EX}lonely>", objects[0]))
+    return graph
+
+
+def _reference_partition(triples, shard_count, dictionary):
+    """The string-routing load this store used to run: key-assign the
+    stream in single-store order, route the strings by subject hash,
+    then load every bucket against the shared dictionary."""
+    encode = dictionary.encode
+    predicate_iris = {}
+    for subject, predicate, obj in triples:
+        encode(subject)
+        encode(obj)
+        predicate_iris.setdefault(local_name(predicate), predicate)
+    for iri in predicate_iris.values():
+        encode(iri)
+    return [
+        vertically_partition(bucket, dictionary)
+        for bucket in route_triples(triples, shard_count)
+    ]
+
+
+def _prepopulated():
+    dictionary = Dictionary()
+    for term in (f"<{EX}unrelated>", f"<{EX}s3>", f"<{EX}p2>", '"lit4"'):
+        dictionary.encode(term)
+    return dictionary
+
+
+@pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
+@pytest.mark.parametrize("prepopulate", [False, True])
+def test_partition_matches_string_routing_reference(
+    shard_count, prepopulate
+):
+    graph = _mixed_graph()
+    make = _prepopulated if prepopulate else Dictionary
+    reference = _reference_partition(list(graph), shard_count, make())
+    sharded = ShardedStore.partition(iter(graph), shard_count, make())
+    assert list(sharded.dictionary.items()) == list(
+        reference[0].dictionary.items()
+    )
+    assert len(sharded.stores) == shard_count
+    for mine, theirs in zip(sharded.stores, reference):
+        assert mine.dictionary is sharded.dictionary
+        assert set(mine.tables) == set(theirs.tables)
+        assert mine.predicate_iris == theirs.predicate_iris
+        assert mine.num_triples == theirs.num_triples
+        for name, table in theirs.tables.items():
+            columns = mine.tables[name].columns
+            assert columns[0].size > 0, name
+            for ours, expected in zip(columns, table.columns):
+                assert ours.dtype == expected.dtype
+                assert ours.tobytes() == expected.tobytes(), name
+    if shard_count > 1:
+        assert any("lonely" not in store.tables for store in sharded.stores)
+
+
+def test_colliding_local_names_keep_single_store_dictionary():
+    """Two IRIs sharing a local name: the single store keys and names
+    the table after the first one only, whichever shard sees which."""
+    graph = [
+        (f"<{EX}s{i}>", f"<{EX}{'a' if i % 2 else 'b'}/knows>", f"<{EX}o>")
+        for i in range(20)
+    ]
+    single = vertically_partition(list(graph))
+    sharded = ShardedStore.partition(list(graph), 3)
+    assert list(sharded.dictionary.items()) == list(
+        single.dictionary.items()
+    )
+    assert sharded.predicate_iris == single.predicate_iris
+
+
+def test_partition_encodes_once_and_hashes_per_subject(monkeypatch):
+    """Clock-free guard on the load path: no scalar subject hash, and
+    exactly the encodes a single-store load of the stream makes."""
+    graph = _mixed_graph(n=600)
+    calls = {"hash": 0, "encode": 0}
+    real_hash = partition_module.subject_hash
+    real_encode = Dictionary.encode
+
+    def counting_hash(subject):
+        calls["hash"] += 1
+        return real_hash(subject)
+
+    def counting_encode(self, term):
+        calls["encode"] += 1
+        return real_encode(self, term)
+
+    monkeypatch.setattr(partition_module, "subject_hash", counting_hash)
+    monkeypatch.setattr(Dictionary, "encode", counting_encode)
+    vertically_partition(list(graph))
+    single_encodes = calls["encode"]
+    calls["encode"] = 0
+    ShardedStore.partition(list(graph), 3)
+    assert calls["hash"] == 0
+    assert calls["encode"] == single_encodes
+
+
+def _scan_present(table, subject_key, object_key):
+    return bool(
+        (
+            (table.column("subject") == subject_key)
+            & (table.column("object") == object_key)
+        ).any()
+    )
+
+
+def _assert_probes_match_scan(sharded, rng):
+    for store in sharded.stores:
+        for table in store.tables.values():
+            subjects = table.column("subject")
+            objects = table.column("object")
+            rows = rng.sample(range(table.num_rows), min(20, table.num_rows))
+            probes = [(int(subjects[i]), int(objects[i])) for i in rows]
+            keys = len(sharded.dictionary)
+            probes += [
+                (rng.randrange(keys + 2), rng.randrange(keys + 2))
+                for _ in range(40)
+            ]
+            probes += [(int(subjects[0]), key) for key in range(keys + 1)]
+            for s_key, o_key in probes:
+                assert _pair_present(table, s_key, o_key) == _scan_present(
+                    table, s_key, o_key
+                ), (table.name, s_key, o_key)
+
+
+def test_pair_probe_agrees_with_scan_across_updates():
+    rng = random.Random(5)
+    graph = _mixed_graph(n=800)
+    sharded = ShardedStore.partition(list(graph), 2)
+    _assert_probes_match_scan(sharded, rng)
+    batch = [
+        (f"<{EX}s{rng.randrange(200)}>", f"<{EX}p{rng.randrange(8)}>",
+         f"<{EX}o{rng.randrange(50)}>")
+        for _ in range(120)
+    ]
+    assert sharded.add_triples(batch)
+    _assert_probes_match_scan(sharded, rng)
+    removed = batch[:60] + graph[:200]
+    assert sharded.remove_triples(removed)
+    _assert_probes_match_scan(sharded, rng)
+    present = (set(graph) | set(batch)) - set(removed)
+    with sharded.read_epoch():
+        for triple in rng.sample(graph, 50) + batch:
+            keys = [sharded.dictionary.lookup(term) for term in triple]
+            assert sharded.contains_triple_locked(*keys) == (
+                triple in present
+            )
