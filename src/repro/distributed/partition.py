@@ -17,35 +17,27 @@ Three pieces enforce it:
   terms at once.
 * :func:`split_by_subject` — a load encodes the stream exactly once, by
   ``vertically_partition`` into one store, and then splits that store's
-  encoded tables by the home shard of each row's subject. The single
-  store's loader is the only encoder, so the dictionary is identical by
-  construction.
-* :func:`pre_encode_add` — replays the exact encode order of
-  ``VerticallyPartitionedStore.add_triples`` against the shared
-  dictionary *before* an update batch is split per shard: all
-  subjects/objects in stream order, then the first-occurring predicate
-  IRI of each genuinely new table. Re-encoding inside the shard stores
-  is then a no-op, regardless of routing.
+  encoded tables by the home shard of each row's subject.
+* :func:`split_pairs` — an update is encoded exactly once too, by the
+  single store's ``group_pairs`` against the shared dictionary and the
+  union's predicate IRIs; its packed (subject, object) keys are then
+  split the same way and applied to each shard with ``apply_pairs``.
 
-:func:`apply_routed_update` is the worker-side mirror: shard worker
-processes replay the *full* batch through the same pre-encode (keeping
-replica dictionaries byte-identical with the coordinator) and then apply
-only their own slice.
+The single store's encoder is the only encoder, so the dictionary is
+identical by construction. Shard worker processes follow their shard
+through the committed, already encoded result of each update (see
+:meth:`~repro.storage.vertical.VerticallyPartitionedStore.committed_since`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.storage.dictionary import Dictionary
 from repro.storage.relation import Relation
-from repro.storage.vertical import (
-    SUBJECT,
-    VerticallyPartitionedStore,
-    local_name,
-)
+from repro.storage.vertical import SUBJECT, VerticallyPartitionedStore
 
 Triple = tuple[str, str, str]
 
@@ -107,16 +99,6 @@ def shard_of(subject: str, shard_count: int) -> int:
     return subject_hash(subject) % shard_count
 
 
-def route_triples(
-    triples: Iterable[Triple], shard_count: int
-) -> list[list[Triple]]:
-    """Split a triple stream into per-shard buckets by subject hash."""
-    buckets: list[list[Triple]] = [[] for _ in range(shard_count)]
-    for triple in triples:
-        buckets[shard_of(triple[0], shard_count)].append(triple)
-    return buckets
-
-
 def split_by_subject(
     store: VerticallyPartitionedStore, shard_count: int
 ) -> list[VerticallyPartitionedStore]:
@@ -160,66 +142,35 @@ def split_by_subject(
     ]
 
 
-def pre_encode_add(
+def split_pairs(
     dictionary: Dictionary,
-    triples: Sequence[Triple],
-    known_tables: Collection[str],
-) -> None:
-    """Assign keys for an *update* exactly like ``add_triples``.
-
-    ``known_tables`` must be the set of table names the equivalent
-    single store held when the batch was applied (for a sharded store:
-    the union across shards, captured before routing). A predicate IRI
-    is encoded only when its table is new — an existing table's IRI
-    already holds a key, and a *different* IRI colliding on the same
-    local name must NOT receive one (the single store never encodes it).
-    """
-    encode = dictionary.encode
-    new_predicates: dict[str, str] = {}
-    seen: set[str] = set()
-    for subject, predicate, obj in triples:
-        encode(subject)
-        encode(obj)
-        name = local_name(predicate)
-        if name not in seen:
-            seen.add(name)
-            if name not in known_tables:
-                new_predicates[name] = predicate
-    for iri in new_predicates.values():
-        encode(iri)
-
-
-def apply_routed_update(
-    store: VerticallyPartitionedStore,
-    shard_index: int,
+    pairs: Mapping[str, np.ndarray],
     shard_count: int,
-    add: Sequence[Triple],
-    remove: Sequence[Triple],
-    known_tables: Collection[str],
-) -> tuple[int, int]:
-    """Apply one shard's slice of a full cross-shard batch.
+) -> list[dict[str, np.ndarray]]:
+    """Split an encoded batch's packed (subject, object) keys per table
+    by the home shard of each key's subject.
 
-    Pre-encodes the *entire* batch (dictionary identity with the
-    coordinator and every sibling shard), then applies only the triples
-    whose subject hashes to ``shard_index``. Removals need no encoding —
-    the single store only looks terms up on that path.
+    Each distinct subject of the batch is decoded and hashed once. A
+    shard gets only its non-empty tables, in ``pairs``' order.
     """
-    if add:
-        pre_encode_add(store.dictionary, add, known_tables)
-    added = removed = 0
-    routed_add = [
-        triple for triple in add
-        if shard_of(triple[0], shard_count) == shard_index
-    ]
-    routed_remove = [
-        triple for triple in remove
-        if shard_of(triple[0], shard_count) == shard_index
-    ]
-    if routed_add:
-        added = store.add_triples(routed_add)
-    if routed_remove:
-        removed = store.remove_triples(routed_remove)
-    return added, removed
+    parts: list[dict[str, np.ndarray]] = [{} for _ in range(shard_count)]
+    if not pairs:
+        return parts
+    keys = np.concatenate(list(pairs.values()))
+    subjects, inverse = np.unique(keys >> np.uint64(32), return_inverse=True)
+    homes = (
+        subject_hashes(dictionary.decode_many(subjects))
+        % np.uint64(shard_count)
+    )[inverse]
+    start = 0
+    for name, table_keys in pairs.items():
+        owner = homes[start:start + table_keys.size]
+        start += table_keys.size
+        for index, part in enumerate(parts):
+            mine = table_keys[owner == index]
+            if mine.size:
+                part[name] = mine
+    return parts
 
 
 __all__ = [
@@ -227,8 +178,6 @@ __all__ = [
     "subject_hash",
     "subject_hashes",
     "shard_of",
-    "route_triples",
     "split_by_subject",
-    "pre_encode_add",
-    "apply_routed_update",
+    "split_pairs",
 ]

@@ -37,27 +37,26 @@ import numpy as np
 from repro.core.sketch import TableSketches, combine_sketches
 from repro.distributed.partition import (
     Triple,
-    pre_encode_add,
-    route_triples,
     shard_of,
     split_by_subject,
+    split_pairs,
 )
 from repro.errors import ConfigError
 from repro.storage.dictionary import Dictionary
 from repro.storage.relation import Relation
 from repro.storage.vertical import (
     TRIPLES_RELATION,
+    CommittedUpdate,
     DeltaConfig,
     VerticallyPartitionedStore,
+    group_pairs,
     local_name,
     vertically_partition,
 )
 
-#: ``(add, remove, known_tables)`` — the full (unrouted) batch plus the
-#: union table names captured *before* it was applied, which is exactly
-#: what a shard worker needs to replay the batch key-identically.
-UpdateBatch = tuple[tuple[Triple, ...], tuple[Triple, ...], frozenset[str]]
-UpdateHook = Callable[[UpdateBatch], None]
+#: Called once per content-changing update with each shard's
+#: :class:`CommittedUpdate`, in shard order.
+UpdateHook = Callable[[list[CommittedUpdate]], None]
 
 
 class EpochLock:
@@ -191,11 +190,14 @@ class ShardedStore:
     @property
     def predicate_iris(self) -> dict[str, str]:
         with self._epoch.read():
-            merged: dict[str, str] = {}
-            for store in self.stores:
-                for name, iri in store.predicate_iris.items():
-                    merged.setdefault(name, iri)
-            return merged
+            return self._predicate_iris_locked()
+
+    def _predicate_iris_locked(self) -> dict[str, str]:
+        merged: dict[str, str] = {}
+        for store in self.stores:
+            for name, iri in store.predicate_iris.items():
+                merged.setdefault(name, iri)
+        return merged
 
     @property
     def tables(self) -> dict[str, Relation]:
@@ -225,13 +227,10 @@ class ShardedStore:
 
     def table_names(self) -> set[str]:
         """Union of shard table names (plus the triples view)."""
-        with self._epoch.read():
-            return self._table_names_locked()
-
-    def _table_names_locked(self) -> set[str]:
         names: set[str] = set()
-        for store in self.stores:
-            names.update(store.tables)
+        with self._epoch.read():
+            for store in self.stores:
+                names.update(store.tables)
         if names:
             names.add(TRIPLES_RELATION)
         return names
@@ -294,52 +293,66 @@ class ShardedStore:
         self._update_hooks = [h for h in self._update_hooks if h is not hook]
 
     def add_triples(self, triples: Iterable[Triple]) -> int:
-        """Route an insert batch; returns the number of new triples.
+        """Insert a batch; returns the number of new triples.
 
-        The whole batch is key-assigned against the shared dictionary
-        in single-store order *before* routing, so the per-shard
-        ``add_triples`` calls are pure no-op re-encodes and the
-        dictionary stays byte-identical to a single store applying the
-        same batch. One epoch bump covers all shards.
+        The batch is encoded once, by the single store's encoder
+        against the shared dictionary and the union's predicate IRIs,
+        so the dictionary stays byte-identical to a single store
+        applying the same batch and a table new to one shard records
+        the union's IRI. The encoded pairs are then split by subject.
+        One epoch bump covers all shards.
         """
-        batch = [tuple(triple) for triple in triples]
-        if not batch:
-            return 0
         with self._epoch.write():
-            known = frozenset(self._table_names_locked())
-            pre_encode_add(self.dictionary, batch, known)
-            added = 0
-            for index, routed in enumerate(
-                route_triples(batch, len(self.stores))
-            ):
-                if routed:
-                    added += self.stores[index].add_triples(routed)
-            if added:
-                self.data_version += 1
-                self._fire_hooks_locked((tuple(batch), (), known))
-            return added
+            iris = self._predicate_iris_locked()
+            base_terms = len(self.dictionary)
+            pairs, new_iris = group_pairs(
+                self.dictionary, triples, iris, encode=True
+            )
+            iris.update(new_iris)
+            return self._apply_locked(pairs, {}, iris, base_terms)[0]
 
     def remove_triples(self, triples: Iterable[Triple]) -> int:
-        """Route a delete batch; returns the number actually removed."""
-        batch = [tuple(triple) for triple in triples]
-        if not batch:
-            return 0
+        """Delete a batch; returns the number actually removed."""
         with self._epoch.write():
-            known = frozenset(self._table_names_locked())
-            removed = 0
-            for index, routed in enumerate(
-                route_triples(batch, len(self.stores))
-            ):
-                if routed:
-                    removed += self.stores[index].remove_triples(routed)
-            if removed:
-                self.data_version += 1
-                self._fire_hooks_locked(((), tuple(batch), known))
-            return removed
+            pairs, _ = group_pairs(
+                self.dictionary, triples, {}, encode=False
+            )
+            return self._apply_locked(
+                {}, pairs, {}, len(self.dictionary)
+            )[1]
 
-    def _fire_hooks_locked(self, batch: UpdateBatch) -> None:
-        for hook in list(self._update_hooks):
-            hook(batch)
+    def _apply_locked(
+        self,
+        added: dict[str, np.ndarray],
+        removed: dict[str, np.ndarray],
+        iris: dict[str, str],
+        base_terms: int,
+    ) -> tuple[int, int]:
+        """Apply encoded pairs to their home shards, bump the epoch and
+        hand every hook each shard's committed update."""
+        count = len(self.stores)
+        versions = [store.data_version for store in self.stores]
+        added_rows = removed_rows = 0
+        for store, add_part, remove_part in zip(
+            self.stores,
+            split_pairs(self.dictionary, added, count),
+            split_pairs(self.dictionary, removed, count),
+        ):
+            if add_part or remove_part:
+                shard_added, shard_removed = store.apply_pairs(
+                    add_part, remove_part, iris
+                )
+                added_rows += shard_added
+                removed_rows += shard_removed
+        if added_rows or removed_rows:
+            self.data_version += 1
+            updates = [
+                store.committed_since(version, base_terms)
+                for store, version in zip(self.stores, versions)
+            ]
+            for hook in list(self._update_hooks):
+                hook(updates)
+        return added_rows, removed_rows
 
     # ------------------------------------------------------------------
     # Coordinator-side lookups
@@ -388,4 +401,4 @@ def _pair_present(
     return index < objects.size and int(objects[index]) == object_key
 
 
-__all__ = ["EpochLock", "ShardedStore", "UpdateBatch", "UpdateHook"]
+__all__ = ["EpochLock", "ShardedStore", "UpdateHook"]

@@ -32,11 +32,12 @@ from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.query import ConjunctiveQuery
-from repro.distributed.store import ShardedStore, UpdateBatch
+from repro.distributed.store import ShardedStore
 from repro.engines import create_engine
 from repro.service.cluster import frames
 from repro.service.cluster.pool import WorkerPool
 from repro.storage.relation import Relation
+from repro.storage.vertical import CommittedUpdate
 
 
 def _holds_tables(engine, query: ConjunctiveQuery) -> bool:
@@ -160,7 +161,6 @@ class PooledShardTransport(_ShardTransport):
                     request_timeout_s=request_timeout_s,
                     checkout_timeout_s=checkout_timeout_s,
                     allow_test_hooks=allow_test_hooks,
-                    shard=(index, store.shard_count),
                 )
                 self.pools.append(pool.start())
         except BaseException:
@@ -173,14 +173,19 @@ class PooledShardTransport(_ShardTransport):
         store.add_update_hook(self._on_update)
         self._hooked = True
 
-    def _on_update(self, batch: UpdateBatch) -> None:
-        """Sharded-store update hook (fires under the write epoch)."""
-        add, remove, known_tables = batch
+    def _on_update(self, updates: list[CommittedUpdate]) -> None:
+        """Sharded-store update hook (fires under the write epoch).
+
+        Each shard pool gets its shard's committed update; the terms
+        the batch appended reach every pool, rows or not, so every
+        replica dictionary stays the coordinator's.
+        """
         # Fired under the store's write epoch: every pool sees the
         # batch before any scatter can observe the new data_version.
         # repro: allow[shard-epoch]
-        for pool in self.pools:
-            pool.replicate(add, remove, known_tables)
+        for pool, update in zip(self.pools, updates):
+            if update.terms or update.batches:
+                pool.replicate(update)
 
     def execute(self, shard: int, query: ConjunctiveQuery) -> Relation:
         payload: dict = {"query": query}

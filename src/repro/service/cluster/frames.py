@@ -34,7 +34,7 @@ MAGIC = b"RPF1"
 # Frame kinds.
 HELLO = 1  # worker -> parent: attach outcome {epoch, data_version, pid}
 QUERY = 2  # {text, parameters, ...} -> SPB1 binary rows
-UPDATE = 3  # {add, remove} -> {added, removed, data_version}
+UPDATE = 3  # CommittedUpdate -> {data_version}
 STATS = 4  # {} -> per-worker counters
 PING = 5  # {} -> {pid, data_version}
 EXPLAIN = 6  # {text, parameters} -> {text}

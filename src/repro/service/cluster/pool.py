@@ -18,11 +18,13 @@
   only when every retry is exhausted does
   :class:`~repro.errors.WorkerCrashError` surface.
 * **Updates** — :meth:`update` applies the batch to the authoritative
-  parent store, appends it to the replay log, and broadcasts the same
-  string batch to every worker (dictionary key assignment is
-  deterministic under identical batch order, so all processes stay
-  byte-identical). When the log outgrows ``republish_fraction`` of the
-  store, the pool publishes a fresh segment and truncates the log so
+  parent store, the only encoder, and ships what it committed (a
+  :class:`~repro.storage.vertical.CommittedUpdate`: the encoded delta
+  batches, the created tables' IRIs and the appended dictionary terms)
+  to the replay log and to every worker, which applies it without
+  encoding anything. A worker that answers ERR is out of step and is
+  recycled. When the log outgrows ``republish_fraction`` of the store,
+  the pool publishes a fresh segment and truncates the log so
   respawned workers attach near the head instead of replaying history.
 * **Health** — a monitor thread notices dead workers between requests
   and respawns them in the background; ``respawns`` counts every
@@ -52,6 +54,7 @@ from repro.errors import (
 from repro.service.cluster import frames
 from repro.service.cluster.shm import SegmentPublisher, reclaim_stale
 from repro.service.cluster.worker import WorkerConfig, worker_main
+from repro.storage.vertical import CommittedUpdate
 
 #: Wall-clock bound on a worker's attach + replay + HELLO.
 HELLO_TIMEOUT_S = 60.0
@@ -114,17 +117,12 @@ class WorkerPool:
         health_interval_s: float = 0.5,
         allow_test_hooks: bool = False,
         max_open_cursors: int = 64,
-        shard: tuple[int, int] | None = None,
     ) -> None:
         if workers < 1:
             raise ClusterError("WorkerPool needs at least 1 worker")
         self.store = store
         self.engine = engine
         self.workers = workers
-        #: ``(shard_index, shard_count)`` when this pool serves one
-        #: shard of a sharded store — workers then apply replayed and
-        #: broadcast batches *routed* (see :class:`WorkerConfig.shard`).
-        self.shard = shard
         self.request_timeout_s = request_timeout_s
         self.checkout_timeout_s = checkout_timeout_s
         self.timeout_grace_s = timeout_grace_s
@@ -138,7 +136,7 @@ class WorkerPool:
         self._update_lock = threading.RLock()
         self._handles: dict[int, WorkerHandle] = {}
         self._free: queue.Queue[WorkerHandle] = queue.Queue()
-        self._replay_log: list = []
+        self._replay_log: list[CommittedUpdate] = []
         self._replay_rows = 0
         self._next_id = 0
         self._closed = False
@@ -217,7 +215,6 @@ class WorkerPool:
                 replay=tuple(self._replay_log),
                 max_open_cursors=self.max_open_cursors,
                 allow_test_hooks=self.allow_test_hooks,
-                shard=self.shard,
             )
             self._next_id += 1
             worker_id = self._next_id
@@ -438,74 +435,59 @@ class WorkerPool:
     def update(self, add=(), remove=()) -> dict:
         """Apply one batch everywhere: parent store, log, all workers.
 
-        Serialized under ``_update_lock`` so every worker observes the
-        same batches in the same order (the determinism the replay
-        path and cross-process dictionary agreement rest on).
+        The parent store is the only encoder; the workers get what it
+        committed (:meth:`replicate`). Serialized under
+        ``_update_lock`` so every worker applies the committed updates
+        in commit order.
         """
-        add = tuple(tuple(t) for t in add)
-        remove = tuple(tuple(t) for t in remove)
         with self._update_lock:
+            version = self.store.data_version
+            base_terms = len(self.store.dictionary)
             added = self.store.add_triples(add) if add else 0
             removed = self.store.remove_triples(remove) if remove else 0
             if added or removed:
-                self._replicate_locked(
-                    (add, remove), {"add": add, "remove": remove}
-                )
+                self.replicate(self.store.committed_since(version, base_terms))
             return {
                 "added": added,
                 "removed": removed,
                 "data_version": self.store.data_version,
             }
 
-    def replicate(self, add=(), remove=(), known_tables=()) -> None:
-        """Broadcast a batch already applied to this pool's store.
+    def replicate(self, update: CommittedUpdate) -> None:
+        """Log and broadcast an update already committed to this pool's
+        store; republish when the log is heavy.
 
-        The sharded-store update hook: the coordinator applied the
-        routed slice to the (shard) store under its write epoch, and
-        this pool only has to log the *full* batch for respawn replay
-        and fan it out to its workers, which route it themselves.
-        ``known_tables`` is the coordinator's union table-name set from
-        just before the batch — what routed workers need to keep
-        dictionary key assignment byte-identical.
+        A worker that fails the update (an ERR answer, a crash, a
+        wedge) no longer matches the parent: it is recycled, and its
+        replacement replays the log, this update included.
         """
-        add = tuple(tuple(t) for t in add)
-        remove = tuple(tuple(t) for t in remove)
-        known = tuple(sorted(known_tables))
         with self._update_lock:
-            self._replicate_locked(
-                (add, remove, frozenset(known)),
-                {"add": add, "remove": remove, "known_tables": known},
-            )
-
-    def _replicate_locked(self, batch: tuple, payload_dict: dict) -> None:
-        """Log a batch, broadcast it, republish when the log is heavy.
-
-        Caller holds ``_update_lock``.
-        """
-        add, remove = batch[0], batch[1]
-        self._replay_log.append(batch)
-        self._replay_rows += len(add) + len(remove)
-        payload = frames.pack(payload_dict)
-        for handle in list(self._handles.values()):
-            try:
-                with handle.lock:
-                    frames.send_frame(handle.conn, frames.UPDATE, payload)
-                    frames.recv_frame(
-                        handle.conn,
-                        timeout_s=self.request_timeout_s,
-                        is_alive=handle.process.is_alive,
-                    )
+            self._replay_log.append(update)
+            self._replay_rows += sum(batch.rows for batch in update.batches)
+            payload = frames.pack(update)
+            for handle in list(self._handles.values()):
+                try:
+                    with handle.lock:
+                        frames.send_frame(
+                            handle.conn, frames.UPDATE, payload
+                        )
+                        _, status, _ = frames.recv_frame(
+                            handle.conn,
+                            timeout_s=self.request_timeout_s,
+                            is_alive=handle.process.is_alive,
+                        )
+                except (WorkerCrashError, ClusterError, OSError, EOFError):
+                    status = frames.ERR
+                if status == frames.OK:
                     handle.data_version = self.store.data_version
-            except (WorkerCrashError, ClusterError):
-                # The replacement replays the full log, this batch
-                # included, so it cannot miss the update.
-                self._mark_dead(handle)
-        if self._replay_rows > self.republish_fraction * max(
-            self.store.num_triples, 1
-        ):
-            self._publisher.publish()
-            self._replay_log.clear()
-            self._replay_rows = 0
+                else:
+                    self._mark_dead(handle)
+            if self._replay_rows > self.republish_fraction * max(
+                self.store.num_triples, 1
+            ):
+                self._publisher.publish()
+                self._replay_log.clear()
+                self._replay_rows = 0
 
     # ------------------------------------------------------------------
     # Introspection

@@ -6,11 +6,12 @@ under the ``spawn`` start method too). A worker:
 1. attaches the publisher's shared segment for its assigned epoch
    (zero-copy column views — N workers share one physical copy of the
    segment data),
-2. replays the pool's update log — the same string-triple batches the
-   parent applied — so its local store reaches the parent's epoch
-   (dictionary key assignment is deterministic: only update paths
-   encode terms, and identical batches in identical order assign
-   identical keys),
+2. applies the pool's update log — the
+   :class:`~repro.storage.vertical.CommittedUpdate` of every write the
+   parent committed since that epoch was published — so its local
+   store reaches the parent's epoch (:func:`apply_update`: the terms
+   the parent appended take the parent's keys, the committed rows are
+   spliced in, nothing is re-encoded),
 3. builds its engine by name and wraps it in the ordinary
    :class:`~repro.service.QueryService` + session stack, then
 4. answers HELLO with its epoch and enters the serve loop.
@@ -20,9 +21,10 @@ its taxonomy code — a worker only exits on SHUTDOWN or a lost pipe.
 Query results are serialized with the ``SPB1`` binary row serializer
 (lossless, dense), which the front door decodes or forwards verbatim.
 
-Live updates arrive as UPDATE frames carrying the same string batches;
-the worker applies them through its own store, and its engines catch
-up through the store's existing ``changes_since`` delta log — the
+Live updates arrive as UPDATE frames carrying the same committed
+updates, applied by the same :func:`apply_update`; a replica out of
+step with the parent answers ERR and the pool recycles it. Its engines
+catch up through the store's existing ``changes_since`` delta log — the
 incremental path this subsystem was shaped around.
 """
 
@@ -36,18 +38,19 @@ import numpy as np
 
 from repro.engines import create_engine
 from repro.errors import ClusterError
+from repro.nputil import pack_pairs
 from repro.service.cluster import frames
 from repro.service.cluster.shm import attach_snapshot, detach
 from repro.service.formats import SERIALIZERS
-from repro.service.protocol import QueryRequest, UpdateRequest
+from repro.service.protocol import QueryRequest
 from repro.service.query_service import QueryService
-from repro.storage.vertical import VerticallyPartitionedStore
-
-#: One replayed update batch: string triples to add and to remove.
-#: Shard workers carry a third element — the coordinator's union table
-#: names captured before the batch was applied — so the routed replay
-#: assigns dictionary keys identically to the coordinator.
-ReplayBatch = tuple[tuple[tuple[str, str, str], ...], tuple[tuple[str, str, str], ...]]
+from repro.storage.relation import Relation
+from repro.storage.vertical import (
+    OBJECT,
+    SUBJECT,
+    CommittedUpdate,
+    VerticallyPartitionedStore,
+)
 
 
 @dataclass
@@ -57,19 +60,13 @@ class WorkerConfig:
     shm_name: str
     epoch: int
     engine: str
-    #: Update batches committed after the published snapshot, in order.
-    replay: tuple[ReplayBatch, ...] = ()
+    #: Updates committed after the published snapshot, in order.
+    replay: tuple[CommittedUpdate, ...] = ()
     max_open_cursors: int = 64
     #: Honor ``test_delay_s`` in query payloads (fault-injection tests
     #: freeze a worker mid-query to exercise crash retry; never enabled
     #: by production configuration).
     allow_test_hooks: bool = False
-    #: ``(shard_index, shard_count)`` when this worker serves one shard
-    #: of a :class:`~repro.distributed.store.ShardedStore`: replayed and
-    #: broadcast update batches arrive *unrouted* and the worker applies
-    #: only its own subject-hash slice (after pre-encoding the full
-    #: batch, keeping its dictionary byte-identical to the coordinator).
-    shard: tuple[int, int] | None = None
 
 
 @dataclass
@@ -80,28 +77,55 @@ class _WorkerState:
     session: object
     epoch: int
     allow_test_hooks: bool
-    shard: tuple[int, int] | None = None
     requests: int = 0
     started_at: float = field(default_factory=time.monotonic)
 
 
-def _apply_replay(
-    store: VerticallyPartitionedStore,
-    replay: tuple[ReplayBatch, ...],
-    shard: tuple[int, int] | None,
+def apply_update(
+    store: VerticallyPartitionedStore, update: CommittedUpdate
 ) -> None:
-    if shard is None:
-        for add, remove in replay:
-            if add:
-                store.add_triples(add)
-            if remove:
-                store.remove_triples(remove)
-        return
-    from repro.distributed.partition import apply_routed_update
+    """Bring a replica store through one update its parent committed.
 
-    index, count = shard
-    for add, remove, known_tables in replay:
-        apply_routed_update(store, index, count, add, remove, known_tables)
+    The replica appends the terms the parent's commit appended and
+    applies each committed batch as one commit of its own; it encodes
+    no existing term and derives no table name. Raises
+    :class:`~repro.errors.ClusterError` when the replica is out of step
+    with the parent: its dictionary does not end where the update
+    starts, a term lands on another key, or a batch lands on another
+    epoch.
+    """
+    dictionary = store.dictionary
+    if len(dictionary) != update.base_terms:
+        raise ClusterError(
+            f"replica dictionary holds {len(dictionary)} terms, the "
+            f"update starts at {update.base_terms}"
+        )
+    for offset, term in enumerate(update.terms):
+        key = dictionary.encode(term)
+        if key != update.base_terms + offset:
+            raise ClusterError(
+                f"replica keyed {term!r} as {key}, the parent as "
+                f"{update.base_terms + offset}"
+            )
+    iris = dict(update.created_iris)
+    for batch in update.batches:
+        store.apply_pairs(
+            _packed(batch.added), _packed(batch.removed), iris
+        )
+        if store.data_version != batch.version:
+            raise ClusterError(
+                f"replica reached version {store.data_version}, the "
+                f"parent committed version {batch.version}"
+            )
+
+
+def _packed(relations: dict[str, Relation]) -> dict[str, np.ndarray]:
+    return {
+        name: pack_pairs(
+            relation.column(SUBJECT), relation.column(OBJECT)
+        )
+        for name, relation in relations.items()
+    }
 
 
 def _handle_query(state: _WorkerState, payload: dict) -> bytes:
@@ -124,33 +148,10 @@ def _handle_query(state: _WorkerState, payload: dict) -> bytes:
         cursor.close()
 
 
-def _handle_update(state: _WorkerState, payload: dict) -> dict:
-    add = tuple(map(tuple, payload.get("add") or ()))
-    remove = tuple(map(tuple, payload.get("remove") or ()))
-    if state.shard is not None:
-        from repro.distributed.partition import apply_routed_update
-
-        index, count = state.shard
-        store = state.service.engine.store
-        added, removed = apply_routed_update(
-            store,
-            index,
-            count,
-            add,
-            remove,
-            frozenset(payload.get("known_tables") or ()),
-        )
-        return {
-            "added": added,
-            "removed": removed,
-            "data_version": store.data_version,
-        }
-    response = state.session.update(UpdateRequest(add=add, remove=remove))
-    return {
-        "added": response.added,
-        "removed": response.removed,
-        "data_version": response.data_version,
-    }
+def _handle_update(state: _WorkerState, update: CommittedUpdate) -> dict:
+    store = state.service.engine.store
+    apply_update(store, update)
+    return {"data_version": store.data_version}
 
 
 def _handle_fragment(state: _WorkerState, payload: dict) -> dict:
@@ -210,7 +211,8 @@ def worker_main(conn, config: WorkerConfig) -> None:
         try:
             snapshot, segment = attach_snapshot(config.shm_name)
             store = VerticallyPartitionedStore.from_snapshot(snapshot)
-            _apply_replay(store, config.replay, config.shard)
+            for update in config.replay:
+                apply_update(store, update)
             engine = create_engine(config.engine, store)
             service = QueryService(engine)
             session = service.session(
@@ -226,7 +228,6 @@ def worker_main(conn, config: WorkerConfig) -> None:
             session=session,
             epoch=config.epoch,
             allow_test_hooks=config.allow_test_hooks,
-            shard=config.shard,
         )
         frames.send_frame(
             conn,
@@ -282,4 +283,4 @@ def _serve(conn, state: _WorkerState) -> None:
             )
 
 
-__all__ = ["ReplayBatch", "WorkerConfig", "worker_main"]
+__all__ = ["WorkerConfig", "apply_update", "worker_main"]

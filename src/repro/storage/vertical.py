@@ -43,11 +43,15 @@ with the store.
   rows added/removed since ``v`` and patch their indexes incrementally;
   a truncated log or an oversized delta returns ``None``, which is the
   signal to fall back to a wholesale rebuild.
+* **One encoder** — updates are :func:`group_pairs` (the only encoder)
+  then :meth:`VerticallyPartitionedStore.apply_pairs`; a replica gets
+  what the parent committed (``committed_since``) and applies only that.
 
 ``data_version`` remains the update epoch: it starts at 0 and is bumped
-by every :meth:`add_triples` / :meth:`remove_triples` call **that
-changes logical content** — duplicate adds and removals of absent
-triples leave the epoch (and therefore every derived cache) alone.
+by every :meth:`add_triples` / :meth:`remove_triples` /
+:meth:`apply_pairs` call **that changes logical content** — duplicate
+adds and removals of absent triples leave the epoch (and therefore
+every derived cache) alone.
 Updates replace whole numpy arrays and dicts (never mutate them), so an
 execution racing an update sees immutable snapshots.
 """
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import re
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +72,7 @@ from repro.core.sketch import (
     combine_sketches,
     merge_table_sketches,
 )
+from repro.errors import StorageError
 from repro.nputil import (
     isin_sorted,
     merge_sorted_unique,
@@ -155,6 +160,19 @@ class DeltaBatch:
         return sum(r.num_rows for r in self.added.values()) + sum(
             r.num_rows for r in self.removed.values()
         )
+
+
+@dataclass(frozen=True)
+class CommittedUpdate:
+    """What a write committed, in the form a replica applies: the
+    dictionary ``terms`` appended from key ``base_terms`` on, the
+    ``batches`` in commit order, and the ``(table, predicate IRI)`` of
+    every table they created, in commit order."""
+
+    base_terms: int
+    terms: tuple[str, ...]
+    batches: tuple[DeltaBatch, ...]
+    created_iris: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -451,16 +469,66 @@ def catalog_view_delta(
     return added, removed, dropped
 
 
+def group_pairs(
+    dictionary: Dictionary,
+    triples: Iterable[tuple[str, str, str]],
+    predicate_iris: Mapping[str, str],
+    *,
+    encode: bool,
+) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Encode a batch into packed (subject, object) keys per table.
+
+    The one encoder of loads and updates. Subjects and objects are
+    keyed in stream order, then the IRI of each table name
+    ``predicate_iris`` does not bind yet, in first-appearance order. A
+    bound name keeps its IRI: another IRI with the same local name is
+    neither keyed nor recorded. Returns the keys per table and the IRIs
+    of the newly named tables.
+
+    With ``encode=False`` (removal) terms are only looked up: a triple
+    with an unseen term is skipped — it cannot be stored under any key.
+    """
+    grouped: dict[str, tuple[list[int], list[int]]] = {}
+    new_iris: dict[str, str] = {}
+    names: dict[str, str] = {}
+    key_of = dictionary.encode if encode else dictionary.lookup
+    for subject, predicate, obj in triples:
+        s_key = key_of(subject)
+        o_key = key_of(obj)
+        if s_key is None or o_key is None:
+            continue
+        name = names.get(predicate)
+        if name is None:
+            name = names[predicate] = local_name(predicate)
+        bucket = grouped.get(name)
+        if bucket is None:
+            bucket = grouped[name] = ([], [])
+            if encode and name not in predicate_iris:
+                new_iris[name] = predicate
+        bucket[0].append(s_key)
+        bucket[1].append(o_key)
+    for iri in new_iris.values():
+        dictionary.encode(iri)
+    pairs = {
+        name: pack_pairs(
+            np.asarray(subjects, dtype=np.uint32),
+            np.asarray(objects, dtype=np.uint32),
+        )
+        for name, (subjects, objects) in grouped.items()
+    }
+    return pairs, new_iris
+
+
 @dataclass
 class VerticallyPartitionedStore:
     """A dictionary-encoded, vertically partitioned triple store.
 
     ``data_version`` is the update epoch: it starts at 0 and is bumped
-    by every content-changing :meth:`add_triples` /
-    :meth:`remove_triples` call. Derived caches (engine indexes, plan
-    caches, the serving layer) compare it against the epoch they were
-    built at and either patch themselves from
-    :meth:`changes_since` or rebuild on mismatch.
+    by every content-changing commit (:meth:`apply_pairs`, which
+    :meth:`add_triples` and :meth:`remove_triples` end in). Derived
+    caches (engine indexes, plan caches, the serving layer) compare it
+    against the epoch they were built at and either patch themselves
+    from :meth:`changes_since` or rebuild on mismatch.
     """
 
     dictionary: Dictionary = field(default_factory=Dictionary)
@@ -501,7 +569,7 @@ class VerticallyPartitionedStore:
 
     def predicate_key(self, name: str) -> int:
         """The dictionary key of a predicate table's IRI."""
-        return self.dictionary.encode(self.predicate_iris[name])
+        return self.dictionary.require(self.predicate_iris[name])
 
     def triples_relation(self) -> Relation:
         """The ``__triples__`` view: all predicate tables unioned into one
@@ -549,37 +617,6 @@ class VerticallyPartitionedStore:
     # ------------------------------------------------------------------
     # Updates (the data-version epoch)
     # ------------------------------------------------------------------
-    def _group_pairs(
-        self, triples: Iterable[tuple[str, str, str]], *, encode: bool
-    ) -> dict[str, tuple[list[int], list[int], str]]:
-        """Per-predicate (subject keys, object keys, predicate IRI).
-
-        With ``encode=False`` (removal) unseen terms map to no key and
-        the triple is skipped — it cannot be stored under any key.
-        """
-        grouped: dict[str, tuple[list[int], list[int], str]] = {}
-        names: dict[str, str] = {}
-        for subject, predicate, obj in triples:
-            if encode:
-                s_key = self.dictionary.encode(subject)
-                o_key = self.dictionary.encode(obj)
-            else:
-                s_lookup = self.dictionary.lookup(subject)
-                o_lookup = self.dictionary.lookup(obj)
-                if s_lookup is None or o_lookup is None:
-                    continue
-                s_key, o_key = s_lookup, o_lookup
-            name = names.get(predicate)
-            if name is None:
-                name = names[predicate] = local_name(predicate)
-            bucket = grouped.get(name)
-            if bucket is None:
-                bucket = ([], [], predicate)
-                grouped[name] = bucket
-            bucket[0].append(s_key)
-            bucket[1].append(o_key)
-        return grouped
-
     def _commit_update(
         self,
         added: dict[str, Relation],
@@ -689,36 +726,10 @@ class VerticallyPartitionedStore:
         batch is appended to the delta log.
         """
         with self._write_lock:
-            grouped = self._group_pairs(triples, encode=True)
-            if not grouped:
-                return 0
-            added_rows: dict[str, Relation] = {}
-            created: set[str] = set()
-            added = 0
-            for name, (subjects, objects, predicate_iri) in grouped.items():
-                keys = pack_pairs(
-                    np.asarray(subjects, dtype=np.uint32),
-                    np.asarray(objects, dtype=np.uint32),
-                )
-                segments = self._segments.get(name)
-                if segments is None:
-                    segments = _TableSegments(name, None)
-                    self._segments[name] = segments
-                    created.add(name)
-                    self.predicate_iris[name] = predicate_iri
-                    self.dictionary.encode(predicate_iri)
-                fresh = segments.add(keys)
-                if fresh.size:
-                    added += int(fresh.size)
-                    added_rows[name] = _pair_relation(name, fresh)
-                elif name in created:
-                    # Nothing actually landed (cannot happen for a new
-                    # table, defensively drop the empty segments).
-                    created.discard(name)
-                    del self._segments[name]
-            if added:
-                self._commit_update(added_rows, {}, created, set())
-            return added
+            pairs, new_iris = group_pairs(
+                self.dictionary, triples, self.predicate_iris, encode=True
+            )
+            return self.apply_pairs(pairs, {}, new_iris)[0]
 
     def remove_triples(self, triples: Iterable[tuple[str, str, str]]) -> int:
         """Delete string triples; returns the number actually removed.
@@ -731,27 +742,84 @@ class VerticallyPartitionedStore:
         afterwards.
         """
         with self._write_lock:
-            grouped = self._group_pairs(triples, encode=False)
+            pairs, _ = group_pairs(
+                self.dictionary, triples, self.predicate_iris, encode=False
+            )
+            return self.apply_pairs({}, pairs, {})[1]
+
+    def apply_pairs(
+        self,
+        added: Mapping[str, np.ndarray],
+        removed: Mapping[str, np.ndarray],
+        iris: Mapping[str, str],
+    ) -> tuple[int, int]:
+        """Apply non-empty packed (subject, object) keys per table as
+        one commit, removals first; encodes nothing.
+
+        A table ``added`` creates records its IRI from ``iris`` unless
+        its name is already bound. Returns the (added, removed) row
+        counts; a batch that changes nothing commits nothing.
+        """
+        with self._write_lock:
             removed_rows: dict[str, Relation] = {}
-            dropped: set[str] = set()
-            removed = 0
-            for name, (subjects, objects, _) in grouped.items():
+            for name, keys in removed.items():
                 segments = self._segments.get(name)
                 if segments is None:
                     continue
-                keys = pack_pairs(
-                    np.asarray(subjects, dtype=np.uint32),
-                    np.asarray(objects, dtype=np.uint32),
-                )
                 doomed = segments.remove(keys)
                 if doomed.size:
-                    removed += int(doomed.size)
                     removed_rows[name] = _pair_relation(name, doomed)
-                    if segments.live_rows == 0:
-                        dropped.add(name)
-            if removed:
-                self._commit_update({}, removed_rows, set(), dropped)
-            return removed
+            added_rows: dict[str, Relation] = {}
+            created: set[str] = set()
+            for name, keys in added.items():
+                segments = self._segments.get(name)
+                if segments is None:
+                    segments = _TableSegments(name, None)
+                    self._segments[name] = segments
+                    created.add(name)
+                    if name not in self.predicate_iris:
+                        self.predicate_iris[name] = iris[name]
+                fresh = segments.add(keys)
+                if fresh.size:
+                    added_rows[name] = _pair_relation(name, fresh)
+            dropped = {
+                name
+                for name in removed_rows
+                if self._segments[name].live_rows == 0
+            }
+            if added_rows or removed_rows:
+                self._commit_update(added_rows, removed_rows, created, dropped)
+            return (
+                sum(r.num_rows for r in added_rows.values()),
+                sum(r.num_rows for r in removed_rows.values()),
+            )
+
+    def committed_since(
+        self, version: int, base_terms: int
+    ) -> CommittedUpdate:
+        """The commits after ``version``, with the dictionary terms
+        appended after key ``base_terms`` (the size at ``version``)."""
+        with self._write_lock:
+            batches = self.changes_since(version)
+            if batches is None:
+                raise StorageError(
+                    f"the delta log no longer reaches version {version}"
+                )
+            return CommittedUpdate(
+                base_terms=base_terms,
+                terms=tuple(
+                    self.dictionary.decode_many(
+                        range(base_terms, len(self.dictionary))
+                    )
+                ),
+                batches=tuple(batches),
+                created_iris=tuple(
+                    (name, self.predicate_iris[name])
+                    for batch in batches
+                    for name in batch.added
+                    if name in batch.created_tables
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Delta introspection (engines and benchmarks)
@@ -873,42 +941,18 @@ def vertically_partition(
 ) -> VerticallyPartitionedStore:
     """Group string triples into per-predicate encoded tables.
 
-    ``triples`` yields (subject, predicate, object) strings. Subjects and
-    objects are dictionary-encoded; predicates become table names. Tables
-    are deduplicated (RDF graphs are sets of triples).
+    ``triples`` yields (subject, predicate, object) strings, encoded by
+    :func:`group_pairs` like any update batch: subjects and objects in
+    stream order, then each table's (first-seen) predicate IRI, so
+    variable-predicate rows can bind the predicate's dictionary value.
+    Tables are deduplicated (RDF graphs are sets of triples).
     """
     dictionary = dictionary if dictionary is not None else Dictionary()
-    buffers: dict[str, tuple[list[int], list[int]]] = {}
-    predicate_iris: dict[str, str] = {}
-    names: dict[str, str] = {}
-    encode = dictionary.encode
-    for subject, predicate, obj in triples:
-        name = names.get(predicate)
-        if name is None:
-            name = names[predicate] = local_name(predicate)
-        buffer = buffers.get(name)
-        if buffer is None:
-            buffer = ([], [])
-            buffers[name] = buffer
-            predicate_iris[name] = predicate
-        buffer[0].append(encode(subject))
-        buffer[1].append(encode(obj))
-    # Encode predicate IRIs too (after all subjects/objects, keeping their
-    # key assignment unchanged) so variable-predicate rows can bind the
-    # predicate's dictionary value and filters on it resolve by lookup.
-    for predicate in predicate_iris.values():
-        encode(predicate)
-    tables: dict[str, Relation] = {}
-    for name, (subjects, objects) in buffers.items():
-        relation = Relation(
-            name,
-            (SUBJECT, OBJECT),
-            (
-                np.asarray(subjects, dtype=np.uint32),
-                np.asarray(objects, dtype=np.uint32),
-            ),
-        ).distinct()
-        tables[name] = relation
+    pairs, predicate_iris = group_pairs(dictionary, triples, {}, encode=True)
+    tables = {
+        name: _pair_relation(name, sorted_distinct_rows([keys])[0])
+        for name, keys in pairs.items()
+    }
     return VerticallyPartitionedStore(
         dictionary=dictionary,
         tables=tables,

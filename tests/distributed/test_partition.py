@@ -1,17 +1,17 @@
-"""Subject hashing, routing and the update pre-encode order."""
+"""Subject hashing and the split of encoded pairs by home shard."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.partition import (
-    pre_encode_add,
-    route_triples,
     shard_of,
+    split_pairs,
     subject_hash,
     subject_hashes,
 )
-from repro.storage.vertical import vertically_partition
+from repro.nputil import unpack_pairs
+from repro.storage.vertical import group_pairs, vertically_partition
 
 EX = "http://ex/"
 
@@ -63,47 +63,19 @@ def test_shard_of_is_in_range_and_deterministic():
     assert shard_of("anything", 1) == 0
 
 
-def test_route_triples_keeps_subjects_whole():
+def test_split_pairs_keeps_subjects_whole():
     graph = _graph()
-    buckets = route_triples(graph, 3)
-    assert sum(len(b) for b in buckets) == len(graph)
-    owner: dict[str, int] = {}
-    for index, bucket in enumerate(buckets):
-        for s, _, _ in bucket:
-            assert owner.setdefault(s, index) == index
-    # Routing preserves the within-bucket stream order.
-    for index, bucket in enumerate(buckets):
-        assert bucket == [
-            t for t in graph if shard_of(t[0], 3) == index
-        ]
-
-
-def test_pre_encode_add_matches_single_store_update_order():
-    graph = _graph()
-    single = vertically_partition(list(graph))
     dictionary = vertically_partition(list(graph)).dictionary
-
-    batch = [
-        (f"<{EX}new0>", f"<{EX}freshPred>", f"<{EX}new1>"),
-        (f"<{EX}s1>", f"<{EX}p0>", '"added"'),
-        (f"<{EX}new2>", f"<{EX}freshPred>", f"<{EX}new0>"),
-    ]
-    known = frozenset(single.tables)
-    single.add_triples(list(batch))
-    pre_encode_add(dictionary, list(batch), known)
-    assert list(dictionary.items()) == list(single.dictionary.items())
-
-
-def test_pre_encode_add_skips_predicates_for_known_tables():
-    """Two IRIs sharing a local name: when the table already exists the
-    single store never encodes the second IRI — the pre-encode must
-    reproduce that exactly (known_tables is the cross-shard union)."""
-    graph = [(f"<{EX}s0>", f"<{EX}a/knows>", f"<{EX}s1>")]
-    single = vertically_partition(list(graph))
-    dictionary = vertically_partition(list(graph)).dictionary
-
-    batch = [(f"<{EX}s2>", f"<{EX}b/knows>", f"<{EX}s0>")]
-    known = frozenset(single.tables)
-    single.add_triples(list(batch))
-    pre_encode_add(dictionary, list(batch), known)
-    assert list(dictionary.items()) == list(single.dictionary.items())
+    pairs, _ = group_pairs(dictionary, graph, {}, encode=False)
+    parts = split_pairs(dictionary, pairs, 3)
+    assert len(parts) == 3
+    for name, keys in pairs.items():
+        mine = [part[name] for part in parts if name in part]
+        assert all(piece.size for piece in mine)
+        assert sorted(np.concatenate(mine).tolist()) == sorted(keys.tolist())
+    for index, part in enumerate(parts):
+        for keys in part.values():
+            subjects, _ = unpack_pairs(keys)
+            for subject in dictionary.decode_many(subjects):
+                assert shard_of(subject, 3) == index
+    assert split_pairs(dictionary, {}, 2) == [{}, {}]

@@ -6,8 +6,10 @@ import threading
 import pytest
 
 from repro.distributed import partition as partition_module
-from repro.distributed.partition import route_triples
+from repro.distributed.partition import shard_of
 from repro.distributed.store import EpochLock, ShardedStore, _pair_present
+from repro.distributed.engine import ShardedEngine
+from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.errors import ConfigError
 from repro.storage.dictionary import Dictionary
 from repro.storage.vertical import local_name, vertically_partition
@@ -109,21 +111,78 @@ def test_noop_batches_do_not_bump_the_epoch(pair):
     assert sharded.data_version == before
 
 
-def test_update_hooks_fire_with_union_known_tables(pair):
+def test_update_hooks_get_each_shards_committed_update(pair):
     _, sharded = pair
     seen = []
     hook = seen.append
     sharded.add_update_hook(hook)
-    known_before = frozenset(sharded.table_names())
+    base_terms = len(sharded.dictionary)
     batch = [(f"<{EX}hooked>", f"<{EX}hookPred>", f"<{EX}s0>")]
     sharded.add_triples(batch)
     assert len(seen) == 1
-    add, remove, known = seen[0]
-    assert add == tuple(batch) and remove == ()
-    assert known == known_before  # captured *before* the batch applied
+    updates = seen[0]
+    assert len(updates) == sharded.shard_count
+    home = sharded.shard_for_subject(batch[0][0])
+    for index, update in enumerate(updates):
+        # Every shard gets the appended terms, rows or not.
+        assert update.base_terms == base_terms
+        assert update.terms == (f"<{EX}hooked>", f"<{EX}hookPred>")
+        if index == home:
+            (committed,) = update.batches
+            assert committed.version == sharded.stores[index].data_version
+            assert update.created_iris == (
+                ("hookPred", f"<{EX}hookPred>"),
+            )
+        else:
+            assert update.batches == () and update.created_iris == ()
     sharded.remove_update_hook(hook)
     sharded.remove_triples(batch)
     assert len(seen) == 1
+
+
+def test_update_colliding_local_name_matches_single_store():
+    """A table that exists only on some shards keeps the union's IRI
+    when an update brings it to another shard under a different IRI
+    with the same local name."""
+    knows_a = f"<{EX}a#knows>"
+    knows_b = f"<{EX}b/knows>"
+    shard_count = 2
+    subjects = [f"<{EX}x{i}>" for i in range(40)]
+    holder = subjects[0]
+    newcomer = next(
+        s for s in subjects
+        if shard_of(s, shard_count) != shard_of(holder, shard_count)
+    )
+    graph = [
+        (holder, knows_a, f"<{EX}y>"),
+        (newcomer, f"<{EX}name>", '"n"'),
+    ]
+    single = vertically_partition(list(graph))
+    sharded = ShardedStore.partition(list(graph), shard_count)
+    assert "knows" not in sharded.stores[
+        shard_of(newcomer, shard_count)
+    ].tables
+    batch = [(newcomer, knows_b, f"<{EX}z>")]
+    assert sharded.add_triples(batch) == single.add_triples(batch) == 1
+
+    assert list(sharded.dictionary.items()) == list(
+        single.dictionary.items()
+    )
+    for store in sharded.stores:
+        assert store.predicate_iris == {
+            name: single.predicate_iris[name] for name in store.tables
+        }
+    query = f"SELECT ?p ?o WHERE {{ {newcomer} ?p ?o }}"
+    reference = EmptyHeadedEngine(single)
+    expected = sorted(reference.decode(reference.execute_sparql(query)))
+    assert (knows_a, f"<{EX}z>") in expected
+    engine = ShardedEngine(sharded)
+    try:
+        assert sorted(engine.decode(engine.execute_sparql(query))) == (
+            expected
+        )
+    finally:
+        engine.transport.close()
 
 
 def test_epoch_write_excludes_readers():
@@ -202,10 +261,10 @@ def _reference_partition(triples, shard_count, dictionary):
         predicate_iris.setdefault(local_name(predicate), predicate)
     for iri in predicate_iris.values():
         encode(iri)
-    return [
-        vertically_partition(bucket, dictionary)
-        for bucket in route_triples(triples, shard_count)
-    ]
+    buckets = [[] for _ in range(shard_count)]
+    for triple in triples:
+        buckets[shard_of(triple[0], shard_count)].append(triple)
+    return [vertically_partition(bucket, dictionary) for bucket in buckets]
 
 
 def _prepopulated():

@@ -5,6 +5,7 @@ pool must hide the crash from the client (retry on a sibling) and heal
 the fleet in the background.
 """
 
+import dataclasses
 import os
 import signal
 import threading
@@ -189,6 +190,44 @@ class TestCrashRecovery:
         probe = f"SELECT ?o WHERE {{ <{EX}late> <{EX}p0> ?o }}"
         for _ in range(6):
             assert cluster.execute_decoded(probe) == [(f"<{EX}o1>",)]
+
+
+    def test_worker_failing_an_update_is_recycled(self, cluster, monkeypatch):
+        """A worker that answers UPDATE with ERR no longer matches the
+        parent: the pool recycles it instead of serving from it, and the
+        replacement replays the log."""
+        pool = cluster.pool
+        victim = next(iter(pool._handles.values()))
+        real_send = frames.send_frame
+
+        def send(conn, kind, payload, status=frames.OK):
+            if kind == frames.UPDATE and conn is victim.conn:
+                # Out of step: the victim's dictionary does not end
+                # where this update starts.
+                update = frames.unpack(payload)
+                payload = frames.pack(
+                    dataclasses.replace(
+                        update, base_terms=update.base_terms + 1
+                    )
+                )
+            real_send(conn, kind, payload, status)
+
+        monkeypatch.setattr(frames, "send_frame", send)
+        response = cluster.session().update(
+            UpdateRequest(add=((f"<{EX}late>", f"<{EX}p0>", f"<{EX}o1>"),))
+        )
+        assert response.added == 1
+        assert victim.worker_id not in pool._handles
+        assert victim.data_version < cluster.store.data_version
+        assert _wait_for(
+            lambda: pool.respawns >= 1 and pool.worker_count() == 2
+        )
+        local = QueryService(ENGINE_NAMES["emptyheaded"](cluster.store))
+        for text in (QUERY, f"SELECT ?s ?p ?o WHERE {{ ?s ?p ?o }}"):
+            expected = local.execute_decoded(text)
+            # More queries than workers: every worker must answer.
+            for _ in range(6):
+                assert cluster.execute_decoded(text) == expected
 
 
 class TestSpawnRetry:

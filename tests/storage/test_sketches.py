@@ -1,7 +1,8 @@
 """Frequency-sketch lifecycle: incremental maintenance through
 ``apply_delta`` must equal a from-scratch rebuild byte-for-byte, on the
-store, in the engines, and across cluster workers after replay catch-up
-(the planner's statistics are part of the replicated state)."""
+store and in the engines (the planner's statistics are part of the
+replicated state; ``test_replicas.py`` checks replicas end with the
+parent's sketch bytes)."""
 
 import numpy as np
 import pytest
@@ -307,46 +308,6 @@ class TestEngineSketches:
         assert after["object"].count(
             store.dictionary.require(f"<{EX}onew>")
         ) == 1
-
-
-# ----------------------------------------------------------------------
-# Cluster workers: replay catch-up determinism
-# ----------------------------------------------------------------------
-class TestWorkerReplayDeterminism:
-    def test_workers_identical_after_replay(self):
-        """Two workers cloned from the published snapshot and caught up
-        through the replay log hold byte-identical sketch registries —
-        and both match the publisher's (identical planning fleet-wide)."""
-        parent = _store()
-        snapshot = parent.export_snapshot()
-        replay = [
-            (
-                [
-                    (f"<{EX}s0>", f"<{EX}p0>", f"<{EX}onew>"),
-                    (f"<{EX}x>", f"<{EX}pnew>", f"<{EX}y>"),
-                ],
-                [],
-            ),
-            ([], [(f"<{EX}s0>", f"<{EX}p0>", f"<{EX}o0>")]),
-        ]
-        workers = [
-            VerticallyPartitionedStore.from_snapshot(snapshot)
-            for _ in range(2)
-        ]
-        for add, remove in replay:
-            if add:
-                parent.add_triples(add)
-            if remove:
-                parent.remove_triples(remove)
-            for worker in workers:
-                if add:
-                    worker.add_triples(add)
-                if remove:
-                    worker.remove_triples(remove)
-
-        reference = _sketch_bytes(parent.column_sketches())
-        for worker in workers:
-            assert _sketch_bytes(worker.column_sketches()) == reference
 
 
 try:  # shm coverage only where the sandbox allows it

@@ -52,6 +52,19 @@ def test_add_creates_new_predicate_table():
     assert "likes" in store.table_names()
 
 
+def test_local_name_keeps_its_first_iri_after_its_table_empties():
+    store = _store()
+    store.remove_triples(BASE[:2])
+    assert "knows" not in store.tables
+    terms = len(store.dictionary)
+    other = f"<{EX}other#knows>"
+    store.add_triples([(f"<{EX}a>", other, f"<{EX}c>")])
+    assert store.tables["knows"].num_rows == 1
+    assert store.predicate_iris["knows"] == f"<{EX}knows>"
+    assert len(store.dictionary) == terms  # `other` is never keyed
+    assert store.dictionary.lookup(other) is None
+
+
 def test_add_invalidates_triples_view():
     store = _store()
     before = store.triples_relation().num_rows
