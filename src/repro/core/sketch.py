@@ -10,14 +10,16 @@ batches *merge* into it — add counts for inserted rows, subtract for
 tombstoned ones — with the invariant that incremental maintenance is
 byte-identical to a from-scratch rebuild, which the cluster tier relies
 on so replicated workers plan identically after replay catch-up. A
-merge is a sorted splice costing O(k log d) plus one O(d) array copy
-for a k-row batch over d distinct values: only the batch is sorted, so
-a commit, an engine catch-up and a worker replay all pay in proportion
-to the batch, not the column.
+merge is a sorted splice (:func:`~repro.nputil.splice`) costing
+O(k log d) for a k-row batch over d distinct values, plus one copy of
+each array it changes: a batch that only moves the counts of present
+values shares ``values`` and copies ``counts``. Only the batch is
+sorted, so a commit, an engine catch-up and a worker replay all pay in
+proportion to the batch, not the column.
 
-This module is deliberately dependency-free (numpy only): it sits below
-the storage layer, which feeds sketches upward to planners and ships
-them across the shared-memory segment.
+This module depends only on numpy and :mod:`repro.nputil`: it sits
+below the storage layer, which feeds sketches upward to planners and
+ships them across the shared-memory segment.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+from repro.nputil import splice
 
 #: Hot values reported by :meth:`FrequencySketch.top` by default.
 DEFAULT_TOP_K = 8
@@ -46,10 +50,18 @@ class FrequencySketch:
 
     __slots__ = ("values", "counts", "_total")
 
-    def __init__(self, values: np.ndarray, counts: np.ndarray) -> None:
+    def __init__(
+        self,
+        values: np.ndarray,
+        counts: np.ndarray,
+        *,
+        total: int | None = None,
+    ) -> None:
         self.values = np.ascontiguousarray(values, dtype=np.uint32)
         self.counts = np.ascontiguousarray(counts, dtype=np.int64)
-        self._total = int(self.counts.sum()) if self.counts.size else 0
+        if total is None:
+            total = int(self.counts.sum()) if self.counts.size else 0
+        self._total = total
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -119,44 +131,58 @@ class FrequencySketch:
 
         ``added``/``removed`` are the raw (duplicated) column values of
         the batch's inserted and tombstoned rows. A sorted splice: the
-        batch's distinct values and signed net counts are found alone,
-        ``searchsorted`` into ``values``, added onto a copy of
-        ``counts`` where they hit and ``np.insert``-ed where they miss.
-        Cost O(k log d) plus one O(d) copy for a batch of k rows over d
-        distinct values; no sort or hash touches the existing values,
-        and neither input array is written. Values whose count ends
-        at or below zero drop out (a removal of an absent value is
-        dropped, never stored negative), preserving the canonical form.
+        batch's distinct values and signed net counts are found alone
+        and ``searchsorted`` into ``values``. When no value appears or
+        vanishes, ``values`` is shared and ``counts`` copied once with
+        the final counts written in; otherwise ``values`` and
+        ``counts`` are each spliced once (:func:`~repro.nputil.splice`)
+        — the batch's present values dropped and those that keep a
+        positive count inserted back. Cost O(k log d) plus one copy per
+        changed array for a batch of k rows over d distinct values; no
+        sort or hash touches the existing values, neither input array
+        is written, and ``total`` moves by the applied counts. A removal
+        of an absent value is dropped, never stored negative, so the
+        canonical form holds.
         """
         n_added = 0 if added is None else int(added.size)
         n_removed = 0 if removed is None else int(removed.size)
         if n_added == 0 and n_removed == 0:
             return self
-        batch, inverse = np.unique(
-            np.concatenate(
-                [
-                    np.asarray(column, dtype=np.uint32)
-                    for column in (added, removed)
-                    if column is not None
-                ]
-            ),
-            return_inverse=True,
+        # The batch's distinct values and signed net counts: one sort
+        # of the batch, summed over runs of equal values.
+        raw = np.concatenate(
+            [
+                np.asarray(column, dtype=np.uint32)
+                for column in (added, removed)
+                if column is not None
+            ]
         )
-        net = np.bincount(inverse[:n_added], minlength=batch.size) - (
-            np.bincount(inverse[n_added:], minlength=batch.size)
-        )
-        at = np.searchsorted(self.values, batch)
+        order = np.argsort(raw, kind="stable")
+        raw = raw[order]
+        starts = np.concatenate(([True], raw[1:] != raw[:-1])).nonzero()[0]
+        batch = raw[starts]
+        net = np.add.reduceat(np.where(order < n_added, 1, -1), starts)
+        at = self.values.searchsorted(batch)
         hit = at < self.values.size
         hit[hit] = self.values[at[hit]] == batch[hit]
-        counts = self.counts.copy()
-        counts[at[hit]] += net[hit]
-        fresh = ~hit & (net > 0)
-        values = np.insert(self.values, at[fresh], batch[fresh])
-        counts = np.insert(counts, at[fresh], net[fresh])
-        keep = counts > 0
-        if not keep.all():
-            values, counts = values[keep], counts[keep]
-        return FrequencySketch(values, counts)
+        current = np.zeros(batch.size, dtype=np.int64)
+        current[hit] = self.counts[at[hit]]
+        final = np.maximum(current + net, 0)
+        total = self._total + int((final - current).sum())
+        stays = final > 0
+        if (hit == stays).all():
+            # No value appears or vanishes: share ``values``.
+            counts = self.counts.copy()
+            counts[at[hit]] = final[hit]
+            return FrequencySketch(self.values, counts, total=total)
+        # Every batch value present is dropped and every one that stays
+        # is inserted back with its final count: one splice per array.
+        drop, keep_at = at[hit], at[stays]
+        return FrequencySketch(
+            splice(self.values, drop, keep_at, batch[stays]),
+            splice(self.counts, drop, keep_at, final[stays]),
+            total=total,
+        )
 
     # -- serialization --------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -219,7 +245,9 @@ def merge_table_sketches(
     """One table's sketches after a delta batch (column-aligned)."""
     merged: dict[str, FrequencySketch] = {}
     for index, attribute in enumerate(attributes):
-        sketch = sketches.get(attribute, FrequencySketch.empty())
+        sketch = sketches.get(attribute)
+        if sketch is None:
+            sketch = FrequencySketch.empty()
         merged[attribute] = sketch.merge(
             added[index] if added is not None else None,
             removed[index] if removed is not None else None,

@@ -31,8 +31,10 @@ relations are replaced, and their cached tries are spliced via
 :meth:`~repro.trie.trie.Trie.apply_delta`. Compiled plans survive (their
 cache key is structural and their execution reads whatever the current
 catalog holds; only the sketch bounds they were ordered by go stale),
-so a small update costs work proportional to the *touched* tables
-instead of a full index rebuild. When the delta log no longer reaches back or the
+so a small update costs work proportional to the batch instead of a
+full index rebuild. Catch-up nets the pending batches into one
+(:func:`~repro.storage.vertical.coalesce`) and patches once. When the
+delta log no longer reaches back or the
 pending batches exceed ``delta_rebuild_fraction`` of the store, catch-up
 builds from scratch through the constructor's own
 :meth:`~EmptyHeadedEngine._build_structures`. The
@@ -77,6 +79,7 @@ from repro.storage.vertical import (
     VerticallyPartitionedStore,
     build_triples_view,
     catalog_view_delta,
+    coalesce,
     sketches_apply_delta,
     triples_sketches,
 )
@@ -172,9 +175,11 @@ class EmptyHeadedEngine(Engine):
         return self._structures.executor
 
     def _catch_up(self) -> None:
-        """Patch batch by batch through :meth:`apply_delta`; build from
-        scratch when the delta log no longer reaches back or the pending
-        batches exceed ``delta_rebuild_fraction`` of the store."""
+        """Patch once through :meth:`apply_delta` with the net effect of
+        the pending batches (:func:`~repro.storage.vertical.coalesce`);
+        build from scratch when the delta log no longer reaches back or
+        the pending batches exceed ``delta_rebuild_fraction`` of the
+        store."""
         batches = self.store.changes_since(
             self._data_version,
             max_rows=int(
@@ -184,8 +189,8 @@ class EmptyHeadedEngine(Engine):
         if batches is None:
             self._build_structures()
             return
-        for batch in batches:
-            self.apply_delta(batch)
+        if batches:
+            self.apply_delta(coalesce(batches))
 
     def apply_delta(self, delta: DeltaBatch) -> None:
         """Absorb one update batch by patching a catalog copy.

@@ -2,14 +2,15 @@
 
 Beyond :func:`grouped_ranges` (the trie executor's range expander), this
 module holds the *row-set* kernels the delta-maintenance machinery is
-built on: packing the rows of equal-length ``uint32`` columns into
-order-preserving scalar keys so that set membership, set difference, and
-sorted merges of whole tuples reduce to one vectorized numpy call each.
-Two-column rows pack into ``uint64`` (``subject << 32 | object`` — the
-shape of every predicate table); wider rows pack into big-endian void
-records whose bytewise comparison *is* lexicographic tuple comparison.
+built on. Two-column rows pack into order-preserving ``uint64`` keys
+(``subject << 32 | object`` — the shape of every predicate table).
 :func:`sorted_distinct_rows` is the one kernel that sorts and dedups
 rows; it returns input that is already sorted-distinct untouched.
+:func:`splice` is the one kernel that patches a sorted array: an update
+finds its positions by ``searchsorted`` (:func:`search_rows` narrows
+column by column through sorted-distinct rows) and copies each changed
+array once, so its cost follows the batch, never a sort or hash of the
+stored rows. :func:`splice_rows` applies both to whole tables.
 """
 
 from __future__ import annotations
@@ -36,31 +37,6 @@ def unpack_pairs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (packed >> np.uint64(32)).astype(np.uint32),
         (packed & np.uint64(0xFFFFFFFF)).astype(np.uint32),
     )
-
-
-def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Pack parallel ``uint32`` columns into order-preserving row keys.
-
-    One or two columns use integer packing; wider rows become void
-    records of the big-endian column bytes, whose memcmp ordering equals
-    lexicographic tuple ordering — so the result always sorts, compares,
-    and ``searchsorted``\\ s like the original tuples.
-    """
-    if len(columns) == 1:
-        return np.asarray(columns[0], dtype=np.uint32)
-    if len(columns) == 2:
-        return pack_pairs(columns[0], columns[1])
-    # Byte order is normalized on the stacked copy just below — the
-    # only place it can stick (np.stack reverts inputs to native).
-    # repro: allow[numpy-hygiene]
-    stacked = np.stack(
-        [np.asarray(c, dtype=np.uint32) for c in columns], axis=1
-    )
-    # The byteswap to big-endian must happen on the *stacked* array:
-    # np.stack silently converts its inputs back to native byte order.
-    stacked = np.ascontiguousarray(stacked.astype(">u4"))
-    width = stacked.shape[1] * 4
-    return stacked.view(np.dtype((np.void, width))).ravel()
 
 
 def _strictly_increasing(columns: Sequence[np.ndarray]) -> bool:
@@ -124,41 +100,223 @@ def sorted_distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, ...
     return (keys,) if len(cols) == 1 else unpack_pairs(keys)
 
 
-def rows_isin(
-    columns: Sequence[np.ndarray], other_columns: Sequence[np.ndarray]
+class _Splice:
+    """Where one splice moves elements, worked out once for arrays of
+    length ``n`` and applied to any number of parallel arrays (the
+    columns of one table take the same drops and inserts)."""
+
+    __slots__ = ("size", "first", "last", "end", "inserted", "old", "keep")
+
+    def __init__(self, n: int, drop: np.ndarray, at: np.ndarray) -> None:
+        if drop.size and at.size:
+            self.first = min(int(drop[0]), int(at[0]))
+            self.last = max(int(drop[-1]) + 1, int(at[-1]))
+        elif drop.size:
+            self.first, self.last = int(drop[0]), int(drop[-1]) + 1
+        else:
+            self.first, self.last = int(at[0]), int(at[-1])
+        self.size = n - drop.size + at.size
+        self.end = self.last - drop.size + at.size
+        self.inserted = self.old = self.keep = None
+        if self.last - self.first == drop.size:
+            return  # no old element survives inside the span
+        inserted = np.arange(-self.first, at.size - self.first)
+        inserted += at
+        if drop.size:
+            inserted -= np.searchsorted(drop, at)
+            self.keep = np.ones(self.last - self.first, dtype=bool)
+            self.keep[drop - self.first] = False
+        self.old = np.ones(self.end - self.first, dtype=bool)
+        self.old[inserted] = False
+        self.inserted = inserted
+
+    def __call__(self, array: np.ndarray, values: np.ndarray) -> np.ndarray:
+        first, last, end = self.first, self.last, self.end
+        out = np.empty(self.size, dtype=array.dtype)
+        out[:first] = array[:first]
+        out[end:] = array[last:]
+        if self.inserted is None:
+            out[first:end] = values
+            return out
+        span = out[first:end]
+        span[self.inserted] = values
+        kept = array[first:last]
+        span[self.old] = kept if self.keep is None else kept[self.keep]
+        return out
+
+
+def splice(
+    array: np.ndarray,
+    drop: np.ndarray,
+    at: np.ndarray,
+    values: np.ndarray,
 ) -> np.ndarray:
-    """Per-row membership of ``columns``'s rows in ``other_columns``'s."""
-    n = int(np.asarray(columns[0]).shape[0])
-    if not int(np.asarray(other_columns[0]).shape[0]):
-        return np.zeros(n, dtype=bool)
-    return np.isin(pack_rows(columns), pack_rows(other_columns))
+    """``array`` without the elements at ``drop`` and with ``values``
+    inserted before the elements at ``at``, as one new array.
+
+    The one patch kernel of sorted arrays (sketch histograms, table
+    columns, trie levels). ``drop`` holds sorted unique positions in
+    ``[0, n)``; ``at`` holds non-decreasing positions in ``[0, n]``
+    aligned with ``values`` (``n`` appends; values sharing a position
+    keep their given order, ahead of the element there). Nothing to do
+    returns ``array`` itself, so unchanged arrays stay shared. The
+    elements before the first and after the last touched position are
+    block-copied; only the span between them is spliced through masks,
+    so a batch that lands in one place costs a copy, and any batch
+    costs O(n + k) vectorized work.
+    """
+    drop = np.asarray(drop, dtype=np.int64)
+    at = np.asarray(at, dtype=np.int64)
+    if not drop.size and not at.size:
+        return array
+    return _Splice(array.shape[0], drop, at)(array, values)
+
+
+#: Ranges at least this wide are searched one slice at a time; each row
+#: over a narrower one is compared with its whole range at once.
+_WIDE = 16
+
+
+def searchsorted_ranges(
+    array: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    values: np.ndarray,
+    side: str = "left",
+) -> np.ndarray:
+    """Per row, ``lo[i] + np.searchsorted(array[lo[i]:hi[i]], values[i],
+    side)``.
+
+    Each slice must be sorted (a trie node's child range, the rows of a
+    sorted table sharing a prefix); the array as a whole need not be.
+    Rows over one wide range share one ``searchsorted`` of its slice;
+    the ranges of different prefixes are disjoint, so a call meets at
+    most ``len(array) / 16`` of them. Rows over narrow ranges count the
+    elements below their value in one vectorized comparison of at most
+    15 per row. No pass over ``array`` is made.
+    """
+    lo = np.array(lo, dtype=np.int64)
+    values = np.asarray(values)
+    width = hi - lo
+    wide = (width >= _WIDE).nonzero()[0]
+    if wide.size:
+        wide = wide[np.lexsort((hi[wide], lo[wide]))]
+        starts, ends = lo[wide], hi[wide]
+        cuts = (
+            (starts[1:] != starts[:-1]) | (ends[1:] != ends[:-1])
+        ).nonzero()[0] + 1
+        for first, last in zip([0, *cuts.tolist()], [*cuts.tolist(), wide.size]):
+            group = wide[first:last]
+            begin, end = int(starts[first]), int(ends[first])
+            lo[group] += np.searchsorted(
+                array[begin:end], values[group], side=side
+            )
+    rows = ((width > 0) & (width < _WIDE)).nonzero()[0]
+    if rows.size:
+        span = np.arange(int(width[rows].max()))
+        at = lo[rows, None] + span
+        probe = array[np.minimum(at, array.shape[0] - 1)]
+        value = values[rows, None]
+        below = probe < value if side == "left" else probe <= value
+        below &= at < hi[rows, None]
+        lo[rows] += below.sum(axis=1)
+    return lo
+
+
+def search_rows(
+    columns: Sequence[np.ndarray], rows: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``rows`` sits in sorted-distinct ``columns``.
+
+    Returns ``(positions, present)``: the row's index when present,
+    else the index it would be inserted at to keep the rows sorted.
+    Narrows column by column: the first column with ``searchsorted``,
+    each later one with :func:`searchsorted_ranges` inside the range of
+    rows sharing the prefix so far.
+    """
+    columns = [np.asarray(c) for c in columns]
+    k = int(np.asarray(rows[0]).shape[0])
+    last = len(columns) - 1
+    lo = hi = np.zeros(k, dtype=np.int64)
+    for index, column in enumerate(columns):
+        value = np.asarray(rows[index], dtype=column.dtype)
+        if index == 0:
+            lo = np.searchsorted(column, value).astype(np.int64)
+            hi = np.searchsorted(column, value, side="right").astype(np.int64)
+        elif index < last:
+            lo, hi = (
+                searchsorted_ranges(column, lo, hi, value),
+                searchsorted_ranges(column, lo, hi, value, side="right"),
+            )
+        else:
+            lo = searchsorted_ranges(column, lo, hi, value)
+    if last == 0:
+        return lo, lo < hi
+    present = lo < hi
+    present[present] = (
+        columns[last][lo[present]]
+        == np.asarray(rows[last], dtype=columns[last].dtype)[present]
+    )
+    return lo, present
+
+
+def splice_rows(
+    columns: Sequence[np.ndarray],
+    added: Sequence[np.ndarray] | None,
+    removed: Sequence[np.ndarray] | None,
+) -> tuple[np.ndarray, ...]:
+    """``(rows − removed) ∪ added`` of sorted-distinct ``columns``, still
+    sorted-distinct, each changed column one :func:`splice`.
+
+    ``added``/``removed`` are parallel columns in the same column order,
+    in any order and with duplicates (only the batch is sorted). Removed
+    rows that are absent and added rows that are present change
+    nothing; a row both removed and added stays. Both batches are
+    placed by one :func:`search_rows`; an unchanged result is
+    ``columns`` itself.
+    """
+    columns = tuple(np.asarray(c) for c in columns)
+    batches = [
+        sorted_distinct_rows(rows)
+        if rows is not None and len(rows[0])
+        else tuple(np.empty(0, dtype=c.dtype) for c in columns)
+        for rows in (added, removed)
+    ]
+    added, removed = batches
+    split = added[0].shape[0]
+    if not split and not removed[0].shape[0]:
+        return columns
+    positions, present = search_rows(
+        columns, [np.concatenate(pair) for pair in zip(added, removed)]
+    )
+    fresh = ~present[:split]
+    drop = positions[split:][present[split:]]
+    if drop.size and split:
+        # A removed row added back stays where it is.
+        drop = drop[~isin_sorted(drop, positions[:split][~fresh])]
+    at = positions[:split][fresh]
+    if not drop.size and not at.size:
+        return columns
+    move = _Splice(columns[0].shape[0], drop, at)
+    return tuple(move(column, rows[fresh]) for column, rows in zip(columns, added))
 
 
 def merge_sorted_unique(sorted_keys: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
     """Merge ``new_keys`` into a sorted unique key array (stays both).
 
     ``new_keys`` may be unsorted and contain duplicates; keys already
-    present are dropped. Linear splice — no re-sort of the main array.
+    present are dropped. One :func:`splice` at the searched positions.
     """
     if not new_keys.size:
         return sorted_keys
-    (new_keys,) = sorted_distinct_rows([new_keys])
-    if sorted_keys.size:
-        positions = np.searchsorted(sorted_keys, new_keys)
-        clipped = np.minimum(positions, sorted_keys.shape[0] - 1)
-        fresh = sorted_keys[clipped] != new_keys
-        new_keys, positions = new_keys[fresh], positions[fresh]
-        if not new_keys.size:
-            return sorted_keys
-        return np.insert(sorted_keys, positions, new_keys)
-    return new_keys
+    return splice_rows([sorted_keys], [new_keys], None)[0]
 
 
 def remove_sorted(sorted_keys: np.ndarray, doomed: np.ndarray) -> np.ndarray:
     """Drop ``doomed`` keys from a sorted unique key array (stays both)."""
     if not doomed.size or not sorted_keys.size:
         return sorted_keys
-    return sorted_keys[~np.isin(sorted_keys, doomed)]
+    return splice_rows([sorted_keys], None, [doomed])[0]
 
 
 def isin_sorted(keys: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:

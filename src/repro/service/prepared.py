@@ -117,6 +117,9 @@ class PreparedStatement:
         self._results: OrderedDict[tuple, Relation] = OrderedDict()
         self._lock = threading.RLock()
         self._data_version = engine.store.data_version
+        #: The store's table names at the last prune: every cached
+        #: retainable binding reads only tables in this set.
+        self._tables = engine.store.table_names()
 
     # ------------------------------------------------------------------
     # Parameter handling
@@ -142,7 +145,9 @@ class PreparedStatement:
         against still exists — dictionary keys are permanent and its
         binding never depended on table *content*. Everything else
         (union trees, numeric fan-outs, provably-empty bindings)
-        re-binds on next use.
+        re-binds on next use. When no table name has disappeared since
+        the last prune, every retainable entry is kept without looking
+        at its atoms.
         """
         if self._data_version == self.engine.store.data_version:
             return
@@ -156,12 +161,15 @@ class PreparedStatement:
             # table-dropping update that raced the two reads.)
             epoch = self.engine.store.data_version
             available = self.engine.store.table_names()
+            scan = not self._tables <= available
             survivors: OrderedDict[tuple, tuple] = OrderedDict()
             for key, (bound, retainable) in self._bound.items():
-                if retainable and all(
-                    atom.relation in available for atom in bound.atoms
+                if retainable and (
+                    not scan
+                    or all(atom.relation in available for atom in bound.atoms)
                 ):
                     survivors[key] = (bound, retainable)
+            self._tables = available
             self.stats.bound_retained += len(survivors)
             self._bound = survivors
             self._results.clear()

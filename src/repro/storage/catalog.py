@@ -17,31 +17,11 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ArityMismatchError, StorageError, UnknownRelationError
-from repro.nputil import rows_isin
 from repro.sets.base import SetLayout
 from repro.storage.relation import Relation
+from repro.storage.vertical import patch_relation
 from repro.trie.trie import Trie
-
-
-def _patch_relation(
-    old: Relation, added: Relation | None, removed: Relation | None
-) -> Relation:
-    """``(old − removed) ∪ added`` (store batches keep these disjoint)."""
-    columns = list(old.columns)
-    if removed is not None and removed.num_rows and old.num_rows:
-        keep = ~rows_isin(
-            columns, [removed.column(a) for a in old.attributes]
-        )
-        columns = [c[keep] for c in columns]
-    if added is not None and added.num_rows:
-        columns = [
-            np.concatenate([column, added.column(attribute)])
-            for column, attribute in zip(columns, old.attributes)
-        ]
-    return Relation(old.name, old.attributes, columns)
 
 
 class Catalog:
@@ -87,12 +67,17 @@ class Catalog:
         applying N batches in sequence walks the committed epochs one
         by one (a concurrent reader can never observe a mixture that
         matches no commit). The copy shares every unaffected relation
-        and cached trie with this catalog; cached tries of affected
-        relations are spliced via
-        :meth:`~repro.trie.trie.Trie.apply_delta` (nothing else is
-        discarded), so warm indexes survive updates. This catalog is
-        left untouched — an execution racing the update keeps one
-        consistent snapshot.
+        and cached trie with this catalog. An affected relation is one
+        sorted splice (:func:`~repro.storage.vertical.patch_relation`):
+        the delta rows are searched in its sorted columns and each
+        changed column is copied once, so it stays sorted-distinct and
+        a trie built over it later sorts nothing. Its cached tries
+        splice their CSR levels
+        (:meth:`~repro.trie.trie.Trie.apply_delta`; nothing else is
+        discarded), so warm indexes survive updates. Cost follows the
+        batch plus one copy per changed array; no sort or hash touches
+        the stored rows. This catalog is left untouched — an execution
+        racing the update keeps one consistent snapshot.
         """
         dropped = set(dropped)
         affected = (set(added) | set(removed)) - dropped
@@ -109,7 +94,7 @@ class Catalog:
                     if created is not None and created.num_rows:
                         relations[name] = created
                     continue
-                relations[name] = _patch_relation(
+                relations[name] = patch_relation(
                     old, added.get(name), removed.get(name)
                 )
             trie_cache: dict[

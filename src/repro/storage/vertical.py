@@ -26,15 +26,16 @@ with the store.
   order, so **every table is sorted-distinct by (subject, object) at
   every epoch**: at load, after any batch, after compaction, and in
   every snapshot. Trie building relies on it — a (subject, object) trie
-  over a store table is a linear scan, never a sort. The merged
-  relation per table is cached and refreshed only for the tables a
-  batch touches; the mapping itself is *replaced wholesale* on every
-  commit so a concurrent reader that grabbed a reference sees one
-  consistent epoch, never a half-applied batch.
+  over a store table is a linear scan, never a sort. A commit refreshes
+  only the tables its batch touches, each by splicing the batch's rows
+  into the previous epoch's relation (:func:`patch_relation`); the
+  mapping itself is *replaced wholesale* on every commit so a
+  concurrent reader that grabbed a reference sees one consistent epoch,
+  never a half-applied batch.
 * **Compaction** — when a table's delta grows past
-  ``DeltaConfig.compact_fraction`` of its main segment, the delta is
-  merged into a fresh main (a linear splice of sorted key arrays) and
-  the delta segments empty. Compaction changes the physical layout but
+  ``DeltaConfig.compact_fraction`` of its main segment, the current
+  logical relation becomes the main (its packed keys spliced to match)
+  and the delta segments empty. Compaction changes the physical layout but
   not the logical content, so it bumps **no** epoch and is invisible to
   every derived cache.
 * **Delta log** — every committed batch is appended (bounded) to a log
@@ -78,8 +79,8 @@ from repro.nputil import (
     merge_sorted_unique,
     pack_pairs,
     remove_sorted,
-    rows_isin,
     sorted_distinct_rows,
+    splice_rows,
     unpack_pairs,
 )
 from repro.storage.dictionary import Dictionary
@@ -95,6 +96,11 @@ OBJECT = "object"
 #: atoms over this relation — the classic "union over all predicate
 #: tables" escape hatch of vertical partitioning.
 TRIPLES_RELATION = "__triples__"
+
+#: The column order the ``__triples__`` view's rows are sorted-distinct
+#: in: it concatenates the predicate tables in predicate-key order, and
+#: each table is sorted-distinct by (subject, object).
+TRIPLES_ORDER = (PREDICATE, SUBJECT, OBJECT)
 
 _LOCAL_NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
@@ -160,6 +166,66 @@ class DeltaBatch:
         return sum(r.num_rows for r in self.added.values()) + sum(
             r.num_rows for r in self.removed.values()
         )
+
+
+def coalesce(batches: list[DeltaBatch]) -> DeltaBatch:
+    """One batch with the net effect of consecutive committed ``batches``.
+
+    Patching with it walks from the epoch before the first batch to
+    the epoch of the last in one step, so a catch-up copies each
+    changed array once however many batches it absorbs. A row's adds
+    and removes alternate (a commit adds only absent rows and removes
+    only present ones), so an odd number of them is one net change in
+    the direction of the first and an even number is none; per table
+    this is one stable sort of the batches' packed keys. A table is
+    created when it is absent before the first batch and present after
+    the last, dropped when the reverse holds, and compacted when any
+    batch compacted it.
+    """
+    if len(batches) == 1:
+        return batches[0]
+    events: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    existed: dict[str, bool] = {}
+    exists: dict[str, bool] = {}
+    for batch in batches:
+        for rows, sign in ((batch.removed, -1), (batch.added, 1)):
+            for name, relation in rows.items():
+                existed.setdefault(name, name not in batch.created_tables)
+                exists[name] = name not in batch.dropped_tables
+                keys, signs = events.setdefault(name, ([], []))
+                keys.append(
+                    pack_pairs(relation.column(SUBJECT), relation.column(OBJECT))
+                )
+                signs.append(np.full(relation.num_rows, sign, dtype=np.int8))
+    added: dict[str, Relation] = {}
+    removed: dict[str, Relation] = {}
+    for name, (keys, signs) in events.items():
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys, signs = keys[order], np.concatenate(signs)[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1]))
+        )
+        changed = np.diff(starts, append=keys.shape[0]) % 2 == 1
+        first = signs[starts]
+        for into, sign in ((added, 1), (removed, -1)):
+            net = keys[starts[changed & (first == sign)]]
+            if net.size:
+                into[name] = _pair_relation(name, net)
+    return DeltaBatch(
+        version=batches[-1].version,
+        added=added,
+        removed=removed,
+        created_tables=frozenset(
+            n for n in exists if exists[n] and not existed[n]
+        ),
+        dropped_tables=frozenset(
+            n for n in exists if existed[n] and not exists[n]
+        ),
+        compacted_tables=frozenset().union(
+            *(batch.compacted_tables for batch in batches)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -249,14 +315,6 @@ class _TableSegments:
             self.main_keys.size - self.tombstones.size + self.inserts.size
         )
 
-    def merged(self, name: str) -> Relation:
-        """The logical (main − tombstones + inserts) relation."""
-        if not self.delta_rows:
-            return self.main
-        keys = remove_sorted(self.main_keys, self.tombstones)
-        keys = merge_sorted_unique(keys, self.inserts)
-        return _pair_relation(name, keys)
-
     def add(self, keys: np.ndarray) -> np.ndarray:
         """Insert packed pair keys; returns the keys actually new.
 
@@ -289,12 +347,13 @@ class _TableSegments:
             return np.sort(np.concatenate([from_inserts, doomed]))
         return from_inserts if from_inserts.size else doomed
 
-    def compact(self, name: str) -> None:
-        """Merge the delta into a fresh main segment (logical no-op)."""
+    def compact(self, table: Relation) -> None:
+        """Fold the delta into the main segment (a logical no-op):
+        ``table`` is the logical relation of the current epoch, and the
+        main keys are spliced to match it."""
         keys = remove_sorted(self.main_keys, self.tombstones)
-        keys = merge_sorted_unique(keys, self.inserts)
-        self.main = _pair_relation(name, keys)
-        self.main_keys = keys
+        self.main_keys = merge_sorted_unique(keys, self.inserts)
+        self.main = table
         self.inserts = np.empty(0, dtype=np.uint64)
         self.tombstones = np.empty(0, dtype=np.uint64)
 
@@ -304,21 +363,59 @@ def _pair_relation(name: str, keys: np.ndarray) -> Relation:
     return Relation(name, (SUBJECT, OBJECT), (subjects, objects))
 
 
+def patch_relation(
+    old: Relation, added: Relation | None, removed: Relation | None
+) -> Relation:
+    """``(old − removed) ∪ added`` for a stored relation; the result
+    stays sorted-distinct in the same column order — the attribute
+    order of a predicate table, :data:`TRIPLES_ORDER` for the
+    ``__triples__`` view.
+
+    One :func:`~repro.nputil.splice_rows` from the delta rows alone: the
+    rows are searched in ``old``'s sorted columns and each changed
+    column is spliced once. Shared by the store's per-commit table and
+    view refresh and by ``Catalog.apply_delta``.
+    """
+    order = TRIPLES_ORDER if old.name == TRIPLES_RELATION else old.attributes
+
+    def ordered(relation: Relation | None) -> list[np.ndarray] | None:
+        if relation is None or not relation.num_rows:
+            return None
+        return [relation.column(attribute) for attribute in order]
+
+    columns = dict(
+        zip(
+            order,
+            splice_rows(
+                [old.column(attribute) for attribute in order],
+                ordered(added),
+                ordered(removed),
+            ),
+        )
+    )
+    return Relation(
+        old.name, old.attributes, [columns[a] for a in old.attributes]
+    )
+
+
 def build_triples_view(
     tables: "dict[str, Relation]", predicate_key
 ) -> Relation:
     """Union two-column predicate ``tables`` into a ``__triples__``
     relation, binding ``predicate_key(name)`` into each row.
 
-    Shared by the store's cached view and by engines that must build
-    the view from *their own snapshot* of the tables (an engine mixing
-    the store's current view with older per-predicate structures would
-    serve a torn, mixed-epoch join)."""
+    Tables are concatenated in predicate-key order, so the view is
+    sorted-distinct in :data:`TRIPLES_ORDER` and patches by
+    :func:`patch_relation`. Shared by the store's cached view and by
+    engines that must build the view from *their own snapshot* of the
+    tables (an engine mixing the store's current view with older
+    per-predicate structures would serve a torn, mixed-epoch join)."""
     subjects: list[np.ndarray] = []
     predicates: list[np.ndarray] = []
     objects: list[np.ndarray] = []
-    for name, relation in sorted(tables.items()):
-        key = predicate_key(name)
+    keyed = sorted((predicate_key(name), name) for name in tables)
+    for key, name in keyed:
+        relation = tables[name]
         subjects.append(relation.column(SUBJECT))
         predicates.append(
             np.full(relation.num_rows, key, dtype=np.uint32)
@@ -624,8 +721,12 @@ class VerticallyPartitionedStore:
         created: set[str],
         dropped: set[str],
     ) -> None:
-        """Refresh merged views, compact, bump the epoch, log the batch.
+        """Splice the touched tables, compact, bump the epoch, log the
+        batch.
 
+        Each touched table is the previous epoch's relation patched by
+        the batch's rows (:func:`patch_relation`), so a refresh costs
+        in proportion to the batch plus one copy per changed column.
         The ``tables`` dict is replaced wholesale (never mutated) so a
         reader holding a reference sees one consistent epoch.
         """
@@ -639,13 +740,21 @@ class VerticallyPartitionedStore:
                 del self._segments[name]
                 tables.pop(name, None)
                 continue
+            previous = tables.get(name)
+            table = patch_relation(
+                previous
+                if previous is not None
+                else Relation.empty(name, (SUBJECT, OBJECT)),
+                added.get(name),
+                removed.get(name),
+            )
             if segments.delta_rows > (
                 self.delta_config.compact_fraction * segments.main_keys.size
             ):
-                segments.compact(name)
+                segments.compact(table)
                 self.compactions += 1
                 compacted.add(name)
-            tables[name] = segments.merged(name)
+            tables[name] = table
         self.tables = tables
         self._patch_sketches(added, removed, dropped)
         self._patch_triples_view(added, removed)
@@ -700,19 +809,10 @@ class VerticallyPartitionedStore:
         view = self._triples_view
         if view is None:
             return
-        columns = list(view.columns)
-        removed_view = triples_view_delta(removed, self.predicate_key)
-        if removed_view is not None and view.num_rows:
-            keep = ~rows_isin(columns, list(removed_view.columns))
-            columns = [column[keep] for column in columns]
-        added_view = triples_view_delta(added, self.predicate_key)
-        if added_view is not None:
-            columns = [
-                np.concatenate([column, extra])
-                for column, extra in zip(columns, added_view.columns)
-            ]
-        self._triples_view = Relation(
-            TRIPLES_RELATION, view.attributes, columns
+        self._triples_view = patch_relation(
+            view,
+            triples_view_delta(added, self.predicate_key),
+            triples_view_delta(removed, self.predicate_key),
         )
 
     def add_triples(self, triples: Iterable[tuple[str, str, str]]) -> int:
@@ -871,15 +971,11 @@ class VerticallyPartitionedStore:
         """
         with self._write_lock:
             count = 0
-            tables = dict(self.tables)
             for name, segments in self._segments.items():
                 if segments.delta_rows:
-                    segments.compact(name)
-                    tables[name] = segments.main
+                    segments.compact(self.tables[name])
                     self.compactions += 1
                     count += 1
-            if count:
-                self.tables = tables
             return count
 
     # ------------------------------------------------------------------

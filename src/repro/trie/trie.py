@@ -21,10 +21,15 @@ Building sorts only what does not arrive sorted. The store keeps every
 predicate table sorted-distinct by (subject, object), so a trie in that
 order is a linear scan over the table's own columns; the
 (object, subject) trie sorts the table once as packed ``uint64`` keys;
-only the three-column ``__triples__`` view needs a multi-key sort. All
+the three-column ``__triples__`` view is sorted-distinct by (predicate,
+subject, object), and only its other orders need a multi-key sort. All
 three cases are :func:`~repro.nputil.sorted_distinct_rows`. Rows that
 are sorted-distinct by construction (a GHD child's ``distinct()``
-result, a delta patch) go straight to :meth:`Trie.from_sorted_distinct`.
+result) go straight to :meth:`Trie.from_sorted_distinct`.
+
+An update never rebuilds a trie: :meth:`Trie.apply_delta` splices the
+batch into the CSR levels where they stand (one copy per level array
+that changes, the others shared), sorting only the batch.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StorageError
-from repro.nputil import grouped_ranges, sorted_distinct_rows
+from repro.nputil import (
+    grouped_ranges,
+    isin_sorted,
+    searchsorted_ranges,
+    sorted_distinct_rows,
+    splice,
+)
 from repro.sets.base import VALUE_DTYPE, EMPTY_SET, OrderedSet, SetLayout
 from repro.sets.layout import build_set_from_sorted
 
@@ -57,6 +68,85 @@ def _level_offsets(starts: np.ndarray, end: int) -> np.ndarray:
     offsets[:-1] = starts
     offsets[-1] = end
     return offsets
+
+
+def _batch_rows(columns: Sequence[np.ndarray] | None) -> list[np.ndarray] | None:
+    """A delta batch as sorted-distinct ``uint32`` columns (``None`` when
+    it has no rows); only the batch is sorted."""
+    if columns is None or not len(columns) or not columns[0].size:
+        return None
+    return list(
+        sorted_distinct_rows([np.asarray(c, dtype=VALUE_DTYPE) for c in columns])
+    )
+
+
+def _run_starts(positions: np.ndarray) -> np.ndarray:
+    """First-of-run flags of a non-decreasing position array."""
+    starts = np.ones(positions.shape[0], dtype=bool)
+    starts[1:] = positions[1:] != positions[:-1]
+    return starts
+
+
+def _prefix_starts(rows: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``starts[i][r]``: sorted row ``r``'s prefix of length ``i + 1``
+    differs from row ``r - 1``'s."""
+    starts = []
+    changed = np.zeros(rows[0].shape[0], dtype=bool)
+    for column in rows:
+        changed = changed | _run_starts(column)
+        starts.append(changed)
+    return starts
+
+
+def _children_of_new_nodes(
+    starts: np.ndarray, opens: list[np.ndarray], level: int
+) -> np.ndarray:
+    """Child count of each new level-``level`` node: the new
+    level-``level + 1`` nodes among the batch rows of its prefix."""
+    groups = np.flatnonzero(starts)
+    if not groups.size:
+        return np.empty(0, dtype=np.int64)
+    children = np.add.reduceat(opens[level + 1].astype(np.int64), groups)
+    return children[opens[level][groups]]
+
+
+def _splice_offsets(
+    offsets: np.ndarray,
+    lost: np.ndarray,
+    gained: np.ndarray,
+    drop: np.ndarray,
+    at: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """CSR offsets after each old parent in ``lost`` loses a child and
+    each in ``gained`` gains one (both sorted, repeats counting again),
+    the parents at ``drop`` (left childless) go, and new parents with
+    ``counts`` children are inserted before the old parents at ``at``.
+
+    Offsets before the first touched parent are copied as they are and
+    those after the last are shifted by the net change; only the span
+    between is rebuilt, as the cumulative sum of its spliced child
+    counts.
+    """
+    ends = [a for a in (lost, gained, drop, at) if a.size]
+    if not ends:
+        return offsets
+    first = min(int(a[0]) for a in ends)
+    last = max(
+        max((int(a[-1]) + 1 for a in (lost, gained, drop) if a.size), default=0),
+        int(at[-1]) if at.size else 0,
+    )
+    span = np.diff(offsets[first : last + 1])
+    np.subtract.at(span, lost - first, 1)
+    np.add.at(span, gained - first, 1)
+    span = splice(span, drop - first, at - first, counts)
+    out = np.empty(offsets.shape[0] - drop.shape[0] + at.shape[0], np.int64)
+    out[: first + 1] = offsets[: first + 1]
+    end = first + 1 + span.shape[0]
+    np.cumsum(span, out=out[first + 1 : end])
+    out[first + 1 : end] += offsets[first]
+    np.add(offsets[last + 1 :], out[end - 1] - offsets[last], out=out[end:])
+    return out
 
 
 class Trie:
@@ -200,46 +290,138 @@ class Trie:
         added: Sequence[np.ndarray] | None,
         removed: Sequence[np.ndarray] | None,
     ) -> "Trie":
-        """A new trie over ``(tuples − removed) ∪ added`` (this one is
-        untouched — probes racing the patch keep a consistent index).
+        """A trie over ``(tuples − removed) ∪ added``; this one is
+        untouched, so probes racing the patch keep a consistent index.
 
         ``added``/``removed`` are parallel columns in this trie's
         attribute order; rows to remove that are absent and rows to add
-        that are present are ignored. The patch expands the trie back to
-        its sorted tuple columns, splices the (small, sorted) delta in
-        linearly, and re-derives the CSR level arrays with prefix scans —
-        no re-sort of the main data ever happens, so cost is linear in
-        the stored tuples and logarithmic work per delta row, not the
-        ``O(n log n)`` of a from-scratch build.
+        that are present are ignored. The CSR levels are spliced where
+        they stand, for any arity: each batch row is located level by
+        level (a ``searchsorted`` of the roots, then
+        :func:`~repro.nputil.searchsorted_ranges` inside each child
+        range), new child values are inserted at the found
+        positions, nodes left with no children drop out, a parent's
+        offsets move by the cumulative change of the child counts
+        before it, and new roots are inserted like any other node. Each
+        level array that changes is copied once
+        (:func:`~repro.nputil.splice`) and the others are shared; only
+        the batch is sorted. With nothing to change the result is this
+        trie.
         """
-        from repro.nputil import pack_rows, rows_isin
-
-        cols = self.to_columns()
-        if removed is not None and len(removed) and removed[0].size:
-            if cols[0].size:
-                keep = ~rows_isin(cols, removed)
-                if not keep.all():
-                    cols = [c[keep] for c in cols]
-        if added is not None and len(added) and added[0].size:
-            keys, first = np.unique(pack_rows(added), return_index=True)
-            add_cols = [np.asarray(c, dtype=VALUE_DTYPE)[first] for c in added]
-            main_keys = pack_rows(cols)
-            if main_keys.size:
-                positions = np.searchsorted(main_keys, keys)
-                clipped = np.minimum(positions, main_keys.shape[0] - 1)
-                fresh = main_keys[clipped] != keys
-                positions = positions[fresh]
-                add_cols = [c[fresh] for c in add_cols]
-            else:
-                positions = np.zeros(keys.shape[0], dtype=np.int64)
-            if add_cols[0].size:
-                cols = [
-                    np.insert(c, positions, a)
-                    for c, a in zip(cols, add_cols)
-                ]
-        return Trie.from_sorted_distinct(
-            cols, self.attributes, force_layout=self._force_layout
+        added = _batch_rows(added)
+        removed = _batch_rows(removed)
+        if added is None and removed is None:
+            return self
+        none = [np.empty(0, dtype=VALUE_DTYPE)] * self.num_levels
+        added = added or none
+        removed = removed or none
+        # One walk locates both batches. A present row that is removed
+        # and added back stays.
+        split = added[0].shape[0]
+        positions, found = self._locate(
+            [np.concatenate(pair) for pair in zip(added, removed)]
         )
+        present = found[-1]
+        kept = positions[-1][:split][present[:split]]
+        leaving = present[split:] & ~isin_sorted(positions[-1][split:], kept)
+        fresh = ~present[:split]
+        gone_rows = [level[split:][leaving] for level in positions]
+        new_rows = [column[fresh] for column in added]
+        new_positions = [level[:split][fresh] for level in positions]
+        new_found = [level[:split][fresh] for level in found]
+        if not gone_rows[0].size and not new_rows[0].size:
+            return self
+        depth = self.num_levels
+        # opens[i]: the batch row is the first of a new level-i node
+        # (its prefix of length i + 1 is absent and differs from the
+        # previous row's); rows are sorted, so a new node's rows are
+        # consecutive.
+        starts = _prefix_starts(new_rows)
+        opens = [start & ~hit for start, hit in zip(starts, new_found)]
+        values = list(self._values)
+        offsets = list(self._offsets)
+        # Bottom-up: a node drops when every one of its children drops
+        # and none is added; ``gone`` flags the removed rows whose
+        # level-``i + 1`` node drops.
+        drop = gone_rows[-1]
+        gone = np.ones(drop.shape[0], dtype=bool)
+        for level in range(depth - 1, -1, -1):
+            at = new_positions[level][opens[level]]
+            values[level] = splice(
+                self._values[level], drop, at, new_rows[level][opens[level]]
+            )
+            if level == 0:
+                break
+            parent = level - 1
+            parents = gone_rows[parent]
+            # One lost child per distinct dropped level-``level`` node,
+            # one gained child per new node under an existing parent.
+            lost = parents[gone & _run_starts(gone_rows[level])]
+            gained = new_positions[parent][opens[level] & new_found[parent]]
+            bounds = self._offsets[parent]
+            candidates = lost[_run_starts(lost)]
+            remaining = (
+                bounds[candidates + 1]
+                - bounds[candidates]
+                - np.searchsorted(lost, candidates, side="right")
+                + np.searchsorted(lost, candidates)
+                + np.searchsorted(gained, candidates, side="right")
+                - np.searchsorted(gained, candidates)
+            )
+            dropped_parents = candidates[remaining == 0]
+            offsets[parent] = _splice_offsets(
+                self._offsets[parent],
+                lost,
+                gained,
+                dropped_parents,
+                new_positions[parent][opens[parent]],
+                _children_of_new_nodes(starts[parent], opens, parent),
+            )
+            gone = isin_sorted(parents, dropped_parents)
+            drop = dropped_parents
+        return Trie(
+            self.attributes,
+            values,
+            offsets,
+            self._force_layout,
+            int(values[-1].shape[0]),
+        )
+
+    def _locate(
+        self, rows: Sequence[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per level, each row's node position and whether it exists.
+
+        ``positions[i][r]`` is the level-``i`` node holding row ``r``'s
+        prefix of length ``i + 1`` when ``found[i][r]``, else the
+        position such a node would be inserted at. The roots are one
+        ``searchsorted``; each deeper level bisects only inside the
+        child range of the row's parent (empty under a missing parent,
+        whose children would start where its successor's do).
+        """
+        positions: list[np.ndarray] = []
+        found: list[np.ndarray] = []
+        lo = np.zeros(rows[0].shape[0], dtype=np.int64)
+        hi = np.full(rows[0].shape[0], self._values[0].shape[0], np.int64)
+        hit = np.ones(rows[0].shape[0], dtype=bool)
+        for level, level_values in enumerate(self._values):
+            if level:
+                offsets = self._offsets[level - 1]
+                parent = positions[-1]
+                lo = offsets[parent]
+                hi = np.where(
+                    hit, offsets[np.minimum(parent + 1, offsets.shape[0] - 1)], lo
+                )
+            at = (
+                np.searchsorted(level_values, rows[0]).astype(np.int64)
+                if level == 0
+                else searchsorted_ranges(level_values, lo, hi, rows[level])
+            )
+            hit = hit & (at < hi)
+            hit[hit] = level_values[at[hit]] == rows[level][hit]
+            positions.append(at)
+            found.append(hit)
+        return positions, found
 
     # ------------------------------------------------------------------
     # Navigation
@@ -429,35 +611,6 @@ class Trie:
         for pos, value in enumerate(arr):
             child = TrieNode(node.depth + 1, begin + pos)
             yield from self._iter_from(child, prefix + (int(value),))
-
-    def to_columns(self) -> list[np.ndarray]:
-        """Expand the trie back to flat columns (sorted, deduplicated).
-
-        Used to materialize join outputs that were accumulated as tries
-        and by round-trip tests.
-        """
-        if self.num_tuples == 0:
-            return [np.empty(0, dtype=VALUE_DTYPE) for _ in self._values]
-        # Walk levels top-down, expanding each parent value by its child
-        # count, fully vectorized via np.repeat.
-        counts: list[np.ndarray] = []
-        for level_offsets in self._offsets:
-            counts.append(np.diff(level_offsets))
-        expanded = [self._values[-1]]
-        # multiplicity of each node at the deepest level is 1; walk upward.
-        multiplicity = np.ones(self._values[-1].shape[0], dtype=np.int64)
-        for level in range(self.num_levels - 2, -1, -1):
-            child_counts = counts[level]
-            # total leaves below each node at this level:
-            sums = np.add.reduceat(
-                multiplicity,
-                self._offsets[level][:-1],
-            ) if self._values[level + 1].shape[0] else np.zeros(
-                self._values[level].shape[0], dtype=np.int64
-            )
-            expanded.insert(0, np.repeat(self._values[level], sums))
-            multiplicity = sums
-        return expanded
 
     def memory_profile(self) -> dict[str, int]:
         """Rough byte counts per component (used by storage reports)."""

@@ -60,6 +60,34 @@ def test_binding_for_dropped_table_is_pruned():
     assert statement.stats.bound_retained == 0
 
 
+def test_binding_pruned_when_table_drops_between_two_prunes():
+    store, service = _service()
+    likes = service.prepare("SELECT ?x WHERE { ?x <http://ex/likes> ?y }")
+    fresh = service.prepare("SELECT ?x WHERE { ?x <http://ex/fresh> ?y }")
+    assert likes.execute().num_rows == 1
+    assert fresh.execute().num_rows == 0  # no such table: not retained
+    # Prune 1: a table appears and none disappears, so the likes
+    # binding is kept without a look at its atoms.
+    store.add_triples([(f"<{EX}c>", f"<{EX}fresh>", f"<{EX}d>")])
+    assert likes.execute().num_rows == 1
+    assert fresh.execute().num_rows == 1
+    assert likes.stats.bound_retained == 1
+    assert likes.stats.bind_misses == 1
+    # Prune 2: both tables are gone; neither binding may survive.
+    store.remove_triples(
+        [
+            (f"<{EX}a>", f"<{EX}likes>", f"<{EX}b>"),
+            (f"<{EX}c>", f"<{EX}fresh>", f"<{EX}d>"),
+        ]
+    )
+    assert likes.execute().num_rows == 0
+    assert fresh.execute().num_rows == 0
+    assert likes.stats.bound_retained == 1
+    assert fresh.stats.bound_retained == 0
+    assert likes.stats.bind_misses == 2
+    assert fresh.stats.bind_misses == 3
+
+
 def test_provably_empty_binding_rebinds_after_update():
     store, service = _service()
     statement = service.prepare(TEMPLATE)

@@ -88,12 +88,10 @@ def test_from_relation_rejects_non_permutation():
         Trie.from_relation(rel, ("s", "x"))
 
 
-def test_to_columns_expands_back():
+def test_iter_tuples_expands_back():
     rows = [(1, 1), (1, 2), (3, 1), (3, 9), (3, 12)]
     t = _trie(rows)
-    cols = t.to_columns()
-    recovered = sorted(zip(*(c.tolist() for c in cols)))
-    assert recovered == sorted(rows)
+    assert list(t.iter_tuples()) == sorted(rows)
 
 
 def test_forced_layout_propagates_to_sets():

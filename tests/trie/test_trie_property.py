@@ -32,15 +32,6 @@ def test_roundtrip_is_sorted_distinct(rows, arity):
     assert trie.num_tuples == len(set(trimmed))
 
 
-@given(rows_strategy, st.integers(2, 3))
-@settings(max_examples=50)
-def test_to_columns_roundtrip(rows, arity):
-    trie, trimmed = _build(rows, arity)
-    cols = trie.to_columns()
-    recovered = list(zip(*(c.tolist() for c in cols))) if trie.num_tuples else []
-    assert recovered == sorted(set(trimmed))
-
-
 @given(rows_strategy)
 @settings(max_examples=50)
 def test_contains_prefix_matches_data(rows):
