@@ -44,11 +44,11 @@ from repro.trie.trie import Trie
 class ExecutorStats:
     """Cumulative work counters for one executor.
 
-    ``enumerated_tuples`` counts partial join tuples carried through the
-    frontier at join-attribute bindings (both execution paths charge the
-    same way, so materialized and streamed runs are comparable).
-    ``tests/core/test_streaming.py`` asserts that under streaming it
-    grows with ``offset + limit``, not with store size.
+    ``enumerated_tuples`` counts partial join tuples: each frontier the
+    one binding loop completes (a node, or a chunk of the streamed root)
+    adds the rows it enters with plus its size after every later join
+    binding. A streamed plan leaves its child nodes uncharged, so there
+    it grows with ``offset + limit``, not store size.
 
     ``last_order``/``last_bounds`` record the attach order (and, when
     the bound-driven search ran, its per-variable frontier bounds) of
@@ -84,27 +84,16 @@ class GHDExecutor:
     def execute(self, plan: Plan) -> Relation:
         """Run the plan; returns the projected, distinct result."""
         self.stats.record_plan(plan)
-        ghd = plan.ghd
-        results: dict[int, Relation] = {}
-        fused_child = plan.pipelined_child
-
-        names = [v.name for v in plan.query.projection]
-        for node in ghd.postorder():
-            node_id = node.node_id
-            if node_id == fused_child:
-                continue  # executed fused with the root
-            if node_id == ghd.root and fused_child is not None:
-                results[node_id] = self._execute_node(
-                    plan, node_id, results, fused=fused_child
-                )
-            else:
-                results[node_id] = self._execute_node(
-                    plan, node_id, results, fused=None
-                )
-            if results[node_id].num_rows == 0:
-                # Any empty node result empties the whole (inner) join.
-                return Relation.empty(plan.query.name, names)
-
+        root = plan.ghd.root
+        results = self._execute_below_root(plan, self.stats)
+        if results is not None:
+            results[root] = self._execute_node(
+                plan, root, results, plan.pipelined_child, self.stats
+            )
+        if results is None or results[root].num_rows == 0:
+            # Any empty node result empties the whole (inner) join.
+            names = [v.name for v in plan.query.projection]
+            return Relation.empty(plan.query.name, names)
         return finalize_result(self._materialize(plan, results), plan.query)
 
     # ------------------------------------------------------------------
@@ -134,10 +123,8 @@ class GHDExecutor:
         projection = list(query.projection)
         if not projection or len(set(projection)) != len(projection):
             return None
-        ghd = plan.ghd
-        fused = plan.pipelined_child
         attrs, atom_indices, child_ids = self._node_members(
-            plan, ghd.root, fused
+            plan, plan.ghd.root, plan.pipelined_child
         )
         chi = set(attrs)
         if any(v not in chi for v in projection):
@@ -157,30 +144,16 @@ class GHDExecutor:
         self.stats.record_plan(plan)
 
         def run() -> Iterator[Relation]:
-            results: dict[int, Relation] = {}
-            for node in ghd.postorder():
-                node_id = node.node_id
-                if node_id == ghd.root or node_id == fused:
-                    continue
-                # Child nodes are semijoin reducers: like Phase B of the
-                # root's streamed join, their construction is index
-                # preparation, not result enumeration — uncounted so the
-                # stat reflects only the work the LIMIT can bound.
-                results[node_id] = self._execute_node(
-                    plan, node_id, results, fused=None, count_stats=False
-                )
-                if results[node_id].num_rows == 0:
-                    return
-            participants = [
-                self._atom_participant(plan, i, stream_attrs)
-                for i in atom_indices
-            ]
-            for child_id in child_ids:
-                participant = self._child_participant(
-                    plan, child_id, stream_attrs, results[child_id]
-                )
-                if participant is not None:
-                    participants.append(participant)
+            # Child nodes are semijoin reducers: like the start step of
+            # the root's streamed join, their construction is index
+            # preparation, not result enumeration — uncounted so the
+            # stat reflects only the work the LIMIT can bound.
+            results = self._execute_below_root(plan, None)
+            if results is None:
+                return
+            participants = self._participants(
+                plan, stream_attrs, atom_indices, child_ids, results
+            )
             last_row: tuple[int, ...] | None = None
             for chunk in generic_join_stream(
                 stream_attrs,
@@ -226,30 +199,38 @@ class GHDExecutor:
     # ------------------------------------------------------------------
     # Bottom-up: one node = one generic worst-case optimal join
     # ------------------------------------------------------------------
+    def _execute_below_root(
+        self, plan: Plan, stats: ExecutorStats | None
+    ) -> dict[int, Relation] | None:
+        """Every node but the root and its fused child, bottom-up;
+        ``None`` as soon as one is empty (that empties the inner join)."""
+        ghd = plan.ghd
+        results: dict[int, Relation] = {}
+        for node in ghd.postorder():
+            if node.node_id in (ghd.root, plan.pipelined_child):
+                continue
+            result = self._execute_node(
+                plan, node.node_id, results, None, stats
+            )
+            if result.num_rows == 0:
+                return None
+            results[node.node_id] = result
+        return results
+
     def _execute_node(
         self,
         plan: Plan,
         node_id: int,
         results: dict[int, Relation],
         fused: int | None,
-        count_stats: bool = True,
+        stats: ExecutorStats | None,
     ) -> Relation:
         attrs, atom_indices, child_ids = self._node_members(
             plan, node_id, fused
         )
-
-        participants: list[Participant] = []
-        for atom_index in atom_indices:
-            participants.append(
-                self._atom_participant(plan, atom_index, attrs)
-            )
-        for child_id in child_ids:
-            participant = self._child_participant(
-                plan, child_id, attrs, results[child_id]
-            )
-            if participant is not None:
-                participants.append(participant)
-
+        participants = self._participants(
+            plan, attrs, atom_indices, child_ids, results
+        )
         selections = {
             v: plan.query.selections[v]
             for v in attrs
@@ -262,7 +243,7 @@ class GHDExecutor:
             selections,
             output_attrs,
             name=f"node{node_id}",
-            stats=self.stats if count_stats else None,
+            stats=stats,
         )
 
     def _node_members(
@@ -286,6 +267,27 @@ class GHDExecutor:
             )
         attrs = [v for v in plan.global_order if v in chi]
         return attrs, atom_indices, child_ids
+
+    def _participants(
+        self,
+        plan: Plan,
+        attrs: list[Variable],
+        atom_indices: list[int],
+        child_ids: list[int],
+        results: dict[int, Relation],
+    ) -> list[Participant]:
+        """A node's atom tries, then its children's projected results,
+        each in ``attrs`` order."""
+        participants = [
+            self._atom_participant(plan, i, attrs) for i in atom_indices
+        ]
+        for child_id in child_ids:
+            participant = self._child_participant(
+                plan, child_id, attrs, results[child_id]
+            )
+            if participant is not None:
+                participants.append(participant)
+        return participants
 
     def _atom_participant(
         self, plan: Plan, atom_index: int, attrs: list[Variable]

@@ -7,22 +7,31 @@ extends each partial tuple by the intersection. Ngo et al. showed this
 runs within the AGM bound — on a triangle, O(N^{3/2}) versus the Ω(N²)
 of any pairwise plan.
 
-Two implementations are provided:
+There is one binding loop, and it is *level-synchronous*: instead of
+recursing per tuple it keeps a columnar frontier of all partial
+bindings, each row with its node position in every participant's trie,
+and binds one attribute per step with vectorized trie kernels. The
+smallest participating relation is expanded in bulk (the leapfrog
+"min-set" rule, which preserves the worst-case optimal bound) and every
+other participant filters the candidates with packed binary-search
+probes or O(1) bitset membership. This is the numpy analogue of the
+tight compiled loops EmptyHeaded generates — every engine in this
+library gets its bulk work done by the same numpy machinery, keeping
+cross-engine comparisons about algorithms.
 
-* :func:`generic_join` — the production, *level-synchronous* variant.
-  Instead of recursing per tuple it maintains a columnar frontier of all
-  partial bindings and processes one attribute per step with vectorized
-  trie kernels: the smallest participating relation is expanded in bulk
-  (the leapfrog "min-set" rule, which preserves the worst-case optimal
-  bound) and every other participant filters the candidates with packed
-  binary-search probes or O(1) bitset membership. This is the numpy
-  analogue of the tight compiled loops EmptyHeaded generates — every
-  engine in this library gets its bulk work done by the same numpy
-  machinery, keeping cross-engine comparisons about algorithms.
-* :func:`generic_join_recursive` — a direct transcription of Algorithm 1
-  (tuple-at-a-time recursion). It exists as an executable specification:
-  property tests check the frontier variant against it on random
-  databases.
+A join runs in two parts. The start step checks the guards, binds the
+leading selections and then the first join attribute in full (one
+vectorized index intersection). :func:`_complete` binds the remaining
+attributes for a frontier. :func:`generic_join_stream` completes
+contiguous ``chunk_rows``-row slices of the started frontier;
+:func:`generic_join` completes the whole frontier at once, so the
+materialized join is the stream drained in one chunk: the same rows, in
+the same order, charged the same ``enumerated_tuples``.
+
+:func:`generic_join_recursive` is a direct transcription of Algorithm 1
+(tuple-at-a-time recursion). It exists as an executable specification:
+property tests check the frontier loop, whole and chunked, against it
+on random databases.
 
 Shared conventions: participants are tries whose level order is the
 processing order restricted to their variables; equality selections are
@@ -40,7 +49,7 @@ import numpy as np
 
 from repro.core.query import Variable
 from repro.sets.base import VALUE_DTYPE
-from repro.sets.intersect import intersect_arrays, intersect_many
+from repro.sets.intersect import intersect_many
 from repro.storage.relation import Relation
 from repro.trie.trie import Trie, TrieNode
 
@@ -100,41 +109,160 @@ def plan_attribute_list(
 
 
 # ---------------------------------------------------------------------------
-# Level-synchronous frontier implementation
+# Shared preamble and answer
 # ---------------------------------------------------------------------------
+def _prepare(
+    attrs: list[Variable],
+    participants: list[Participant],
+    selections: dict[Variable, int],
+    output_attrs: list[Variable],
+) -> tuple[list[Variable], list[Variable], bool]:
+    """The preamble every implementation runs first.
+
+    Returns the kept attribute order (:func:`plan_attribute_list`), the
+    output attributes in that order, and whether the join can have rows
+    at all: a participant whose attributes were all truncated only
+    guards existence, so an empty one empties the join.
+    """
+    kept = plan_attribute_list(attrs, participants, selections, output_attrs)
+    out_set = set(output_attrs)
+    kept_set = set(kept)
+    feasible = all(
+        p.trie.num_tuples > 0
+        for p in participants
+        if kept_set.isdisjoint(p.attrs)
+    )
+    return kept, [a for a in kept if a in out_set], feasible
+
+
+def _result(
+    name: str,
+    output: list[Variable],
+    columns: dict[Variable, np.ndarray] | None,
+) -> Relation:
+    """The answer from completed frontier columns (``None``: no rows).
+
+    A join with no output attribute is an existence check: it answers
+    with the one-row (or zero-row) ``__exists__`` sentinel the executor
+    tests for emptiness.
+    """
+    if not output:
+        return Relation(
+            name,
+            ["__exists__"],
+            [np.zeros(0 if columns is None else 1, dtype=VALUE_DTYPE)],
+        )
+    names = [v.name for v in output]
+    if columns is None:
+        return Relation.empty(name, names)
+    return Relation(name, names, [columns[a] for a in output])
+
+
+# ---------------------------------------------------------------------------
+# Level-synchronous frontier: one binding loop
+# ---------------------------------------------------------------------------
+_Step = tuple[Variable, int | None, bool]
+"""One attribute to bind: ``(attr, value, emit)``. ``value`` is the
+selected constant, or ``None`` for a join attribute, whose values become
+an output column if ``emit``."""
+
+
 class _Frontier:
-    """Columnar state: all partial bindings after some bound prefix."""
+    """Columnar state: all partial bindings after some bound prefix.
 
-    __slots__ = ("size", "columns")
+    Each row also carries its place in every participant's trie:
+    ``bound_count[i]`` is how many of participant ``i``'s levels are
+    bound, and ``cursor[i]`` holds the rows' node positions at level
+    ``bound_count[i] - 1`` (``None`` until its first level is bound).
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("participants", "size", "columns", "bound_count", "cursor")
+
+    def __init__(self, participants: list[Participant]) -> None:
+        self.participants = participants
         self.size = 1  # one empty binding
         self.columns: dict[Variable, np.ndarray] = {}
+        self.bound_count = [0] * len(participants)
+        self.cursor: list[np.ndarray | None] = [None] * len(participants)
 
-    def gather(self, row_ids: np.ndarray) -> None:
-        self.columns = {a: c[row_ids] for a, c in self.columns.items()}
-        self.size = int(row_ids.shape[0])
+    def rows(self, lo: int, hi: int) -> "_Frontier":
+        """Rows ``lo:hi`` as a frontier of their own (views, no copies).
 
-    def filter(self, mask: np.ndarray) -> None:
-        self.columns = {a: c[mask] for a, c in self.columns.items()}
-        self.size = int(mask.sum())
+        A contiguous slice of a sorted frontier keeps the global order.
+        """
+        chunk = _Frontier(self.participants)
+        chunk.size = min(hi, self.size) - lo
+        chunk.columns = {a: c[lo:hi] for a, c in self.columns.items()}
+        chunk.bound_count = list(self.bound_count)
+        chunk.cursor = [None if c is None else c[lo:hi] for c in self.cursor]
+        return chunk
+
+    def keep(self, index: np.ndarray, cursors: dict[int, np.ndarray]) -> None:
+        """Keep the rows ``index`` picks: a boolean mask, or row ids that
+        may repeat a row. ``cursors`` are the new positions, already in
+        the kept rows' order, of the participants they name; every other
+        started participant's positions follow the rows."""
+        self.columns = {a: c[index] for a, c in self.columns.items()}
+        for i, positions in enumerate(self.cursor):
+            if i in cursors:
+                self.cursor[i] = cursors[i]
+            elif positions is not None:
+                self.cursor[i] = positions[index]
+        self.size = int(index.sum() if index.dtype == bool else index.shape[0])
 
 
-def _empty_result(output_attrs: list[Variable], name: str) -> Relation:
-    return Relation.empty(name, [v.name for v in output_attrs])
-
-
-def _active_for(
-    attr: Variable,
+def _start(
+    attrs: list[Variable],
     participants: list[Participant],
-    bound_count: list[int],
-) -> list[int]:
-    """Participants whose next unbound level is ``attr``."""
-    return [
-        i
-        for i, p in enumerate(participants)
-        if bound_count[i] < len(p.attrs) and p.attrs[bound_count[i]] == attr
-    ]
+    selections: dict[Variable, int],
+    output_attrs: list[Variable],
+) -> tuple[list[Variable], _Frontier | None, list[_Step] | None]:
+    """The start step: the guards, the leading selections (the frontier
+    stays one row) and the first join attribute, bound in full.
+
+    The first join attribute costs one vectorized index intersection —
+    index work, not output enumeration — so it is not charged here;
+    :func:`_complete` charges the rows it is handed instead.
+
+    Returns the output attributes in binding order, the frontier
+    (``None`` when the join is already known to be empty) and the steps
+    left to complete it (``None`` when no join attribute is kept: every
+    attribute is selected and the frontier is final).
+    """
+    kept, output, feasible = _prepare(
+        attrs, participants, selections, output_attrs
+    )
+    if not feasible:
+        return output, None, None
+    out_set = set(output)
+    steps = [(a, selections.get(a), a in out_set) for a in kept]
+    frontier = _Frontier(participants)
+    for k, (attr, value, emit) in enumerate(steps):
+        if not _bind(frontier, attr, value, emit):
+            return output, None, None
+        if value is None:  # the first join attribute
+            return output, frontier, steps[k + 1 :]
+    return output, frontier, None
+
+
+def _complete(
+    frontier: _Frontier, steps: list[_Step], stats: "object | None"
+) -> _Frontier | None:
+    """Bind ``steps`` for every row of a started frontier (``None``: no
+    row survives).
+
+    ``stats.enumerated_tuples`` (when given) is charged the rows the
+    frontier enters with plus its size after each join binding — the
+    partial tuples actually carried.
+    """
+    if stats is not None:
+        stats.enumerated_tuples += frontier.size
+    for attr, value, emit in steps:
+        if not _bind(frontier, attr, value, emit):
+            return None
+        if stats is not None and value is None:
+            stats.enumerated_tuples += frontier.size
+    return frontier
 
 
 def generic_join(
@@ -153,54 +281,21 @@ def generic_join(
     that is bound before other output attributes, duplicate output rows
     can be produced — callers project-and-distinct in that case (the GHD
     executor always materializes every unselected attribute, so node
-    results are duplicate-free).
+    results are duplicate-free). With no output attribute left the join
+    is an existence check and answers with the ``__exists__`` sentinel.
 
-    ``stats``, when given, must expose an integer ``enumerated_tuples``
-    attribute; it is incremented by the frontier size after every join-
-    attribute binding — the count of partial tuples the algorithm
-    actually carried, the executor's work measure.
+    This is :func:`generic_join_stream` drained in one chunk: the whole
+    started frontier is completed at once. ``stats``, when given, must
+    expose an integer ``enumerated_tuples`` attribute, charged as
+    :func:`_complete` describes — the executor's work measure.
     """
-    kept = plan_attribute_list(attrs, participants, selections, output_attrs)
-    out_in_order = [a for a in kept if a in set(output_attrs)]
-
-    # Participants with every attribute truncated act as global guards.
-    kept_set = set(kept)
-    for participant in participants:
-        if not any(a in kept_set for a in participant.attrs):
-            if participant.trie.num_tuples == 0:
-                return _empty_result(out_in_order, name)
-
-    frontier = _Frontier()
-    # bound_count[i]: how many of participant i's levels are bound;
-    # cursor[i]: per-row node positions at level bound_count[i]-1.
-    bound_count = [0] * len(participants)
-    cursor: list[np.ndarray | None] = [None] * len(participants)
-
-    for attr in kept:
-        active = _active_for(attr, participants, bound_count)
-        if attr in selections:
-            if not _bind_selection(
-                attr, selections[attr], active, participants,
-                bound_count, cursor, frontier,
-            ):
-                return _empty_result(out_in_order, name)
-        else:
-            if not _bind_join_attribute(
-                attr, active, participants, bound_count, cursor, frontier,
-                emit=attr in set(out_in_order),
-            ):
-                return _empty_result(out_in_order, name)
-            if stats is not None:
-                stats.enumerated_tuples += frontier.size
-        if frontier.size == 0:
-            return _empty_result(out_in_order, name)
-
-    if not out_in_order:
-        # Boolean node (every attribute selected): emit the sentinel the
-        # executor checks for emptiness.
-        return _exists_relation(name, satisfied=frontier.size > 0)
-    columns = [frontier.columns[a] for a in out_in_order]
-    return Relation(name, [v.name for v in out_in_order], columns)
+    output, frontier, rest = _start(
+        attrs, participants, selections, output_attrs
+    )
+    if frontier is not None and rest is not None:
+        frontier = _complete(frontier, rest, stats)
+    columns = None if frontier is None else frontier.columns
+    return _result(name, output, columns)
 
 
 def generic_join_stream(
@@ -214,291 +309,183 @@ def generic_join_stream(
 ) -> Iterator[Relation]:
     """Run the worst-case optimal join lazily, yielding sorted chunks.
 
-    The contract that makes streaming useful for top-k: the frontier of
-    :func:`generic_join` stays lexicographically sorted in binding order
-    (sorted trie children, row-major expansion), so if the caller orders
-    ``attrs`` as ``[selections..., output_attrs in output order,
-    rest...]`` the concatenated chunks are exactly the materialized
-    result's rows sorted by the output columns — i.e. ``distinct()``
-    order — with duplicate output rows adjacent. A consumer can then
-    deduplicate by comparing neighbours and stop pulling once
-    ``offset + limit`` distinct rows exist, without enumerating the rest.
+    The contract that makes streaming useful for top-k: the frontier
+    stays lexicographically sorted in binding order (sorted trie
+    children, row-major expansion), so if the caller orders ``attrs``
+    as ``[selections..., output_attrs in output order, rest...]`` the
+    concatenated chunks are exactly the materialized result's rows
+    sorted by the output columns — i.e. ``distinct()`` order — with
+    duplicate output rows adjacent. A consumer can then deduplicate by
+    comparing neighbours and stop pulling once ``offset + limit``
+    distinct rows exist, without enumerating the rest.
 
-    Laziness is chunked, not tuple-at-a-time: leading selections bind
-    first (the frontier stays a single row), the first join attribute is
-    bound in full (one vectorized index intersection — its cost is index
-    work, not output enumeration), and the resulting frontier is then
-    completed through the remaining attributes ``chunk_rows`` rows at a
-    time. Contiguous slices of a sorted frontier preserve global order.
+    Laziness is chunked, not tuple-at-a-time: the start step binds the
+    leading selections and the first join attribute in full, and the
+    resulting frontier is then completed through the remaining
+    attributes ``chunk_rows`` rows at a time. Only non-empty chunks are
+    yielded; an existence check (no output attribute) yields its
+    one-row sentinel once, at the first chunk with a witness.
 
-    ``stats.enumerated_tuples`` (when given) counts the rows a chunk
-    enters with plus the frontier size after each join binding inside
-    the chunk — the partial tuples actually carried. An abandoned stream
-    therefore never charges for work it did not do.
+    ``stats.enumerated_tuples`` (when given) is charged per chunk as
+    :func:`_complete` describes, so an abandoned stream never charges
+    for work it did not do, and a drained one charges exactly what
+    :func:`generic_join` does.
     """
-    kept = plan_attribute_list(attrs, participants, selections, output_attrs)
-    out_set = set(output_attrs)
-    out_in_order = [a for a in kept if a in out_set]
-    names = [v.name for v in out_in_order]
-
-    kept_set = set(kept)
-    for participant in participants:
-        if not any(a in kept_set for a in participant.attrs):
-            if participant.trie.num_tuples == 0:
+    output, frontier, rest = _start(
+        attrs, participants, selections, output_attrs
+    )
+    if frontier is None:
+        return
+    if rest is None:
+        yield _result(name, output, frontier.columns)
+        return
+    for lo in range(0, frontier.size, chunk_rows):
+        chunk = _complete(frontier.rows(lo, lo + chunk_rows), rest, stats)
+        if chunk is not None:
+            yield _result(name, output, chunk.columns)
+            if not output:
                 return
 
-    frontier = _Frontier()
-    bound_count = [0] * len(participants)
-    cursor: list[np.ndarray | None] = [None] * len(participants)
 
-    # Phase A: leading equality selections (the frontier stays one row).
-    index = 0
-    while index < len(kept) and kept[index] in selections:
-        attr = kept[index]
-        alive = _bind_selection(
-            attr, selections[attr],
-            _active_for(attr, participants, bound_count),
-            participants, bound_count, cursor, frontier,
-        )
-        if not alive or frontier.size == 0:
-            return
-        index += 1
-    if index == len(kept):
-        # Fully selected (boolean) query: nothing to stream.
-        if out_in_order:
-            return
-        yield _exists_relation(name, satisfied=frontier.size > 0)
-        return
-
-    # Phase B: bind the first join attribute completely. Its candidates
-    # come straight from one vectorized index intersection, so this is
-    # charged as chunks are actually processed, not here.
-    attr = kept[index]
-    alive = _bind_join_attribute(
-        attr, _active_for(attr, participants, bound_count),
-        participants, bound_count, cursor, frontier,
-        emit=attr in out_set,
-    )
-    if not alive or frontier.size == 0:
-        return
-    index += 1
-    remaining = kept[index:]
-
-    # Phase C: complete contiguous slices of the sorted frontier.
-    total = frontier.size
-    for lo in range(0, total, chunk_rows):
-        hi = min(lo + chunk_rows, total)
-        chunk = _Frontier()
-        chunk.size = hi - lo
-        chunk.columns = {a: c[lo:hi] for a, c in frontier.columns.items()}
-        chunk_cursor = [
-            None if c is None else c[lo:hi] for c in cursor
-        ]
-        chunk_bound = list(bound_count)
-        if stats is not None:
-            stats.enumerated_tuples += chunk.size
-        alive = True
-        for attr in remaining:
-            active = _active_for(attr, participants, chunk_bound)
-            if attr in selections:
-                alive = _bind_selection(
-                    attr, selections[attr], active, participants,
-                    chunk_bound, chunk_cursor, chunk,
-                )
-            else:
-                alive = _bind_join_attribute(
-                    attr, active, participants, chunk_bound, chunk_cursor,
-                    chunk, emit=attr in out_set,
-                )
-                if alive and stats is not None:
-                    stats.enumerated_tuples += chunk.size
-            if not alive or chunk.size == 0:
-                alive = False
-                break
-        if not alive:
-            continue
-        yield Relation(name, names, [chunk.columns[a] for a in out_in_order])
-
-
-def _exists_relation(name: str, satisfied: bool) -> Relation:
-    """A one/zero-row sentinel for boolean (fully selected) subqueries."""
-    return Relation(
-        name,
-        ["__exists__"],
-        [np.zeros(1 if satisfied else 0, dtype=VALUE_DTYPE)],
-    )
+def _bind(
+    frontier: _Frontier, attr: Variable, value: int | None, emit: bool
+) -> bool:
+    """Bind one attribute (one :data:`_Step`) in the participants whose
+    next unbound level it is; ``False`` when no row survives."""
+    bound_count = frontier.bound_count
+    active = [
+        i
+        for i, p in enumerate(frontier.participants)
+        if bound_count[i] < len(p.attrs) and p.attrs[bound_count[i]] == attr
+    ]
+    if value is not None:
+        return _bind_selection(frontier, value, active)
+    return _bind_join_attribute(frontier, attr, active, emit)
 
 
 def _bind_selection(
-    attr: Variable,
-    value: int,
-    active: list[int],
-    participants: list[Participant],
-    bound_count: list[int],
-    cursor: list[np.ndarray | None],
-    frontier: _Frontier,
+    frontier: _Frontier, value: int, active: list[int]
 ) -> bool:
     """Probe ``value`` in every active participant; filter the frontier."""
     mask: np.ndarray | None = None
-    started_positions: dict[int, np.ndarray] = {}
-    fresh_positions: dict[int, int] = {}
+    started: dict[int, np.ndarray] = {}
+    fresh: dict[int, int] = {}
     for i in active:
-        trie = participants[i].trie
-        level = bound_count[i]
+        trie = frontier.participants[i].trie
+        level = frontier.bound_count[i]
         if level == 0:
             # Fresh participant: one probe of the root set. O(1) for the
             # bitset layout, O(log n) for the uint array (Section III-A).
             if not trie.child_set(trie.root).contains(value):
                 return False
-            fresh_positions[i] = int(
+            fresh[i] = int(
                 trie.root_positions(np.asarray([value], dtype=VALUE_DTYPE))[0]
             )
         else:
-            found, child_pos = trie.probe_rows(level - 1, cursor[i], value)
+            found, child_pos = trie.probe_rows(
+                level - 1, frontier.cursor[i], value
+            )
             mask = found if mask is None else (mask & found)
-            started_positions[i] = child_pos
-        bound_count[i] += 1
+            started[i] = child_pos
+        frontier.bound_count[i] += 1
 
     if mask is not None and not mask.all():
-        frontier.filter(mask)
-        for i in range(len(participants)):
-            if cursor[i] is not None and i not in started_positions:
-                cursor[i] = cursor[i][mask]
-        started_positions = {
-            i: positions[mask] for i, positions in started_positions.items()
-        }
+        frontier.keep(
+            mask, {i: positions[mask] for i, positions in started.items()}
+        )
         if frontier.size == 0:
             return False
-    for i, positions in started_positions.items():
-        cursor[i] = positions
-    for i, position in fresh_positions.items():
-        cursor[i] = np.full(frontier.size, position, dtype=np.int64)
+    else:
+        for i, positions in started.items():
+            frontier.cursor[i] = positions
+    for i, position in fresh.items():
+        frontier.cursor[i] = np.full(frontier.size, position, dtype=np.int64)
     return True
 
 
 def _bind_join_attribute(
-    attr: Variable,
-    active: list[int],
-    participants: list[Participant],
-    bound_count: list[int],
-    cursor: list[np.ndarray | None],
-    frontier: _Frontier,
-    emit: bool,
+    frontier: _Frontier, attr: Variable, active: list[int], emit: bool
 ) -> bool:
     """Extend the frontier by one join attribute (vectorized)."""
+    participants = frontier.participants
+    bound_count, cursor = frontier.bound_count, frontier.cursor
     started = [i for i in active if bound_count[i] > 0]
     fresh = [i for i in active if bound_count[i] == 0]
 
     if not started:
         # All participants see this attribute first: one multiway
         # intersection of root sets, crossed with the frontier.
-        sets = [
-            participants[i].trie.child_set(participants[i].trie.root)
-            for i in fresh
-        ]
-        values = intersect_many(sets)
-        if values.size == 0:
-            return False
-        n_values = values.shape[0]
-        row_ids = np.repeat(
-            np.arange(frontier.size, dtype=np.int64), n_values
+        roots = intersect_many(
+            [participants[i].trie.child_set(participants[i].trie.root)
+             for i in fresh]
         )
-        tiled = np.tile(values, frontier.size)
+        if roots.size == 0:
+            return False
+        row_ids = np.repeat(
+            np.arange(frontier.size, dtype=np.int64), roots.shape[0]
+        )
+        values = np.tile(roots, frontier.size)
         new_cursors = {
             i: np.tile(
-                participants[i].trie.root_positions(values), frontier.size
+                participants[i].trie.root_positions(roots), frontier.size
             )
             for i in fresh
         }
-        _advance(
-            participants, bound_count, cursor, frontier,
-            active, row_ids, tiled, new_cursors, attr, emit,
+    else:
+        # Pick the started participant with the smallest total expansion
+        # — the leapfrog min-set rule, which keeps the run worst-case
+        # optimal.
+        totals = {}
+        for i in started:
+            counts = participants[i].trie.child_counts(
+                bound_count[i] - 1, cursor[i]
+            )
+            totals[i] = (int(counts.sum()), counts)
+        pivot = min(started, key=lambda i: totals[i][0])
+        counts = totals[pivot][1]
+        _, values, pivot_positions = participants[pivot].trie.expand_children(
+            bound_count[pivot] - 1, cursor[pivot]
         )
-        return True
+        row_ids = np.repeat(np.arange(frontier.size, dtype=np.int64), counts)
 
-    # Pick the started participant with the smallest total expansion —
-    # the leapfrog min-set rule, which keeps the run worst-case optimal.
-    totals = {}
-    for i in started:
-        counts = participants[i].trie.child_counts(
-            bound_count[i] - 1, cursor[i]
-        )
-        totals[i] = (int(counts.sum()), counts)
-    pivot = min(started, key=lambda i: totals[i][0])
-    counts = totals[pivot][1]
-    _, values, pivot_positions = participants[pivot].trie.expand_children(
-        bound_count[pivot] - 1, cursor[pivot]
-    )
-    row_ids = np.repeat(np.arange(frontier.size, dtype=np.int64), counts)
+        keep = np.ones(values.shape[0], dtype=bool)
+        # Cheap constant filters first: fresh participants' root sets
+        # give O(1) bitset membership or one vectorized binary search.
+        for i in fresh:
+            trie = participants[i].trie
+            keep &= trie.child_set(trie.root).contains_many(values)
+            if not keep.any():
+                return False
+        # Per-row probes into the other started participants.
+        new_cursors = {pivot: pivot_positions}
+        for i in started:
+            if i == pivot:
+                continue
+            found, child_pos = participants[i].trie.descend_rows(
+                bound_count[i] - 1, cursor[i][row_ids], values
+            )
+            keep &= found
+            new_cursors[i] = child_pos
+            if not keep.any():
+                return False
 
-    keep = np.ones(values.shape[0], dtype=bool)
-    # Cheap constant filters first: fresh participants' root sets give
-    # O(1) bitset membership or one vectorized binary search.
-    for i in fresh:
-        root_set = participants[i].trie.child_set(participants[i].trie.root)
-        keep &= root_set.contains_many(values)
-        if not keep.any():
+        if not keep.all():
+            row_ids = row_ids[keep]
+            values = values[keep]
+            new_cursors = {
+                i: positions[keep] for i, positions in new_cursors.items()
+            }
+        if values.size == 0:
             return False
-    # Per-row probes into the other started participants.
-    other_positions: dict[int, np.ndarray] = {}
-    for i in started:
-        if i == pivot:
-            continue
-        found, child_pos = participants[i].trie.descend_rows(
-            bound_count[i] - 1, cursor[i][row_ids], values
-        )
-        keep &= found
-        other_positions[i] = child_pos
-        if not keep.any():
-            return False
+        for i in fresh:
+            new_cursors[i] = participants[i].trie.root_positions(values)
 
-    if not keep.all():
-        row_ids = row_ids[keep]
-        values = values[keep]
-        pivot_positions = pivot_positions[keep]
-        other_positions = {
-            i: positions[keep] for i, positions in other_positions.items()
-        }
-    if values.size == 0:
-        return False
-
-    new_cursors: dict[int, np.ndarray] = {pivot: pivot_positions}
-    new_cursors.update(other_positions)
-    for i in fresh:
-        new_cursors[i] = participants[i].trie.root_positions(values)
-    _advance(
-        participants, bound_count, cursor, frontier,
-        active, row_ids, values, new_cursors, attr, emit,
-    )
-    return True
-
-
-def _advance(
-    participants: list[Participant],
-    bound_count: list[int],
-    cursor: list[np.ndarray | None],
-    frontier: _Frontier,
-    active: list[int],
-    row_ids: np.ndarray,
-    values: np.ndarray,
-    new_cursors: dict[int, np.ndarray],
-    attr: Variable,
-    emit: bool,
-) -> None:
-    """Install the new frontier after binding ``attr``."""
-    frontier.gather(row_ids)
-    for i, positions in new_cursors.items():
-        cursor[i] = positions
-    for i in range(len(participants)):
-        if i in new_cursors:
-            continue
-        existing = cursor[i]
-        if existing is not None:
-            cursor[i] = existing[row_ids]
+    frontier.keep(row_ids, new_cursors)
     for i in active:
         bound_count[i] += 1
     if emit:
         frontier.columns[attr] = values.astype(VALUE_DTYPE)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +499,11 @@ def generic_join_recursive(
     name: str = "join",
 ) -> Relation:
     """Tuple-at-a-time Algorithm 1 (executable specification)."""
-    kept = plan_attribute_list(attrs, participants, selections, output_attrs)
-    out_in_order = [a for a in kept if a in set(output_attrs)]
-    kept_set = set(kept)
-    for participant in participants:
-        if not any(a in kept_set for a in participant.attrs):
-            if participant.trie.num_tuples == 0:
-                return _empty_result(out_in_order, name)
+    kept, output, feasible = _prepare(
+        attrs, participants, selections, output_attrs
+    )
+    if not feasible:
+        return _result(name, output, None)
 
     rows: list[tuple[int, ...]] = []
     cursors: list[TrieNode] = [p.trie.root for p in participants]
@@ -526,7 +511,7 @@ def generic_join_recursive(
         [i for i, p in enumerate(participants) if attr in p.attrs]
         for attr in kept
     ]
-    out_set = set(out_in_order)
+    out_set = set(output)
 
     def recurse(level: int, prefix: tuple[int, ...]) -> None:
         if level == len(kept):
@@ -562,13 +547,11 @@ def generic_join_recursive(
             cursors[i] = node
 
     recurse(0, ())
-    if not out_in_order:
-        return _exists_relation(name, satisfied=bool(rows))
     if not rows:
-        return _empty_result(out_in_order, name)
+        return _result(name, output, None)
     matrix = np.asarray(sorted(set(rows)), dtype=VALUE_DTYPE)
-    columns = [matrix[:, i] for i in range(len(out_in_order))]
-    return Relation(name, [v.name for v in out_in_order], columns)
+    columns = {a: matrix[:, k] for k, a in enumerate(output)}
+    return _result(name, output, columns)
 
 
 __all__ = [
@@ -577,5 +560,4 @@ __all__ = [
     "generic_join_stream",
     "generic_join_recursive",
     "plan_attribute_list",
-    "intersect_arrays",
 ]

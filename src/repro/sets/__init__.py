@@ -14,17 +14,12 @@ appears in the set" (256 = the size of an AVX register in the paper).
 
 Public API::
 
-    from repro.sets import build_set, choose_layout, intersect, SetLayout
+    from repro.sets import build_set, choose_layout, intersect_many, SetLayout
 """
 
 from repro.sets.base import EMPTY_SET, OrderedSet, SetLayout
 from repro.sets.bitset import BitSet
-from repro.sets.intersect import (
-    intersect,
-    intersect_arrays,
-    intersect_many,
-    intersect_values,
-)
+from repro.sets.intersect import intersect_arrays, intersect_many
 from repro.sets.layout import DENSITY_THRESHOLD, build_set, choose_layout
 from repro.sets.uint_array import UintArraySet
 
@@ -37,8 +32,6 @@ __all__ = [
     "UintArraySet",
     "build_set",
     "choose_layout",
-    "intersect",
     "intersect_arrays",
     "intersect_many",
-    "intersect_values",
 ]

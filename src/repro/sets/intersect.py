@@ -3,16 +3,15 @@
 Intersection is the core operation of the generic worst-case optimal join
 (Algorithm 1 in the paper): at every recursion level the algorithm
 intersects the candidate sets of all relations containing the current
-attribute. The kernels here cover the three layout pairings:
+attribute. :func:`intersect_many` keeps the running result as a sorted
+``uint32`` array, smallest set first, and meets each further set by its
+layout:
 
-* array x array — numpy sorted intersection, or a vectorized "galloping"
-  probe of the smaller side into the larger when sizes are skewed;
-* bitset x bitset — word-parallel AND over the overlapping word range;
-* array x bitset — vectorized O(1) membership probes of the array's
-  elements against the bitmap.
-
-All kernels return plain sorted ``uint32`` arrays; :func:`intersect`
-re-wraps the result through the layout optimizer.
+* array — numpy sorted intersection, or a vectorized "galloping" probe
+  of the smaller side into the larger when sizes are skewed
+  (:func:`intersect_arrays`);
+* bitset — vectorized O(1) membership probes of the running result
+  against the bitmap.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.sets.base import EMPTY_SET, VALUE_DTYPE, OrderedSet
-from repro.sets.bitset import WORD_BITS, BitSet
-from repro.sets.layout import build_set_from_sorted
-from repro.sets.uint_array import UintArraySet
+from repro.sets.base import VALUE_DTYPE, OrderedSet
+from repro.sets.bitset import BitSet
 
 GALLOP_RATIO = 32
 """Probe the small side into the large one when sizes differ by this factor."""
@@ -42,50 +39,6 @@ def intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         idx = np.minimum(idx, b.size - 1)
         return a[b[idx] == a]
     return np.intersect1d(a, b, assume_unique=True)
-
-
-def _intersect_bitset_words(a: BitSet, b: BitSet) -> np.ndarray | None:
-    """AND the overlapping word ranges; returns (base, words) or None."""
-    lo = max(a.base, b.base)
-    hi_a = a.base + len(a.words) * WORD_BITS
-    hi_b = b.base + len(b.words) * WORD_BITS
-    hi = min(hi_a, hi_b)
-    if lo >= hi:
-        return None
-    a_words = a.words[(lo - a.base) // WORD_BITS : (hi - a.base) // WORD_BITS]
-    b_words = b.words[(lo - b.base) // WORD_BITS : (hi - b.base) // WORD_BITS]
-    return lo, np.bitwise_and(a_words, b_words)
-
-
-def intersect_values(a: OrderedSet, b: OrderedSet) -> np.ndarray:
-    """Intersect two sets, returning a sorted ``uint32`` value array."""
-    if a.cardinality == 0 or b.cardinality == 0:
-        return np.empty(0, dtype=VALUE_DTYPE)
-    if a.max_value < b.min_value or b.max_value < a.min_value:
-        return np.empty(0, dtype=VALUE_DTYPE)
-    a_is_bits = isinstance(a, BitSet)
-    b_is_bits = isinstance(b, BitSet)
-    if a_is_bits and b_is_bits:
-        result = _intersect_bitset_words(a, b)
-        if result is None:
-            return np.empty(0, dtype=VALUE_DTYPE)
-        base, words = result
-        # Unpack the AND result directly; no popcount/trim pass needed.
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        return (np.flatnonzero(bits) + base).astype(VALUE_DTYPE)
-    if a_is_bits or b_is_bits:
-        bits, arr_set = (a, b) if a_is_bits else (b, a)
-        arr = arr_set.to_array()
-        return arr[bits.contains_many(arr)]
-    return intersect_arrays(a.to_array(), b.to_array())
-
-
-def intersect(a: OrderedSet, b: OrderedSet) -> OrderedSet:
-    """Intersect two sets; the result layout is re-chosen by the optimizer."""
-    values = intersect_values(a, b)
-    if values.size == 0:
-        return EMPTY_SET
-    return build_set_from_sorted(values)
 
 
 def intersect_many(sets: Sequence[OrderedSet]) -> np.ndarray:
@@ -111,36 +64,3 @@ def intersect_many(sets: Sequence[OrderedSet]) -> np.ndarray:
         else:
             result = intersect_arrays(result, other.to_array())
     return result
-
-
-def intersect_array_with_sets(
-    values: np.ndarray, sets: Sequence[OrderedSet]
-) -> np.ndarray:
-    """Filter a sorted value array by membership in every set of ``sets``."""
-    result = values
-    for other in sorted(sets, key=lambda s: s.cardinality):
-        if result.size == 0:
-            break
-        if isinstance(other, BitSet):
-            result = result[other.contains_many(result)]
-        else:
-            result = intersect_arrays(result, other.to_array())
-    return result
-
-
-def union_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two sorted unique arrays (used by result accumulation)."""
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
-    return np.union1d(a, b)
-
-
-def difference_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elements of ``a`` not in ``b`` (both sorted unique)."""
-    if a.size == 0 or b.size == 0:
-        return a
-    idx = np.searchsorted(b, a)
-    idx = np.minimum(idx, b.size - 1)
-    return a[b[idx] != a]

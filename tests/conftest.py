@@ -68,15 +68,18 @@ def lock_order_sanitizer(monkeypatch):
 
 @pytest.fixture
 def sort_calls(monkeypatch):
-    """Record ``(function, input size)`` of every ``np.unique`` /
+    """Record ``(function, rows sorted)`` of every ``np.unique`` /
     ``np.sort`` / ``np.argsort`` / ``np.lexsort`` call made while the
     test runs (the clock-free guards that a path sorts only its batch,
-    or nothing, never a whole column)."""
+    or nothing, never a whole column). A ``lexsort`` sorts the last axis
+    of its key stack, so it counts rows, not key columns × rows."""
     seen: list[tuple[str, int]] = []
     for name in ("unique", "sort", "argsort", "lexsort"):
 
         def spy(array, *args, _name=name, _original=getattr(np, name), **kwargs):
-            seen.append((_name, int(np.asarray(array).size)))
+            keys = np.asarray(array)
+            rows = keys.shape[-1] if _name == "lexsort" else keys.size
+            seen.append((_name, int(rows)))
             return _original(array, *args, **kwargs)
 
         monkeypatch.setattr(np, name, spy)

@@ -1,5 +1,7 @@
 """Generic worst-case optimal join: unit tests on known instances."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.generic_join import (
 )
 from repro.core.query import Variable
 from repro.trie.trie import Trie
+from tests.util import drained_stream
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -33,7 +36,12 @@ def _triangle_parts(r, s, t):
     ]
 
 
-JOINS = [generic_join, generic_join_recursive]
+JOINS = [
+    generic_join,
+    generic_join_recursive,
+    drained_stream(1),
+    drained_stream(3),
+]
 
 
 @pytest.mark.parametrize("join", JOINS)
@@ -165,3 +173,39 @@ def test_frontier_matches_recursive_on_triangle_with_selection():
     fast = generic_join(*args)
     slow = generic_join_recursive(*args)
     assert fast.to_set() == slow.to_set()
+
+
+@pytest.mark.parametrize("join", JOINS)
+def test_existential_node_with_join_attributes(join):
+    """No output attribute left but join attributes to bind: every
+    implementation answers with the ``__exists__`` sentinel."""
+    r = [(0, 1), (1, 2), (0, 3)]
+    s = [(1, 2), (2, 0), (3, 0)]
+    t = [(0, 2), (1, 0), (5, 5)]
+    satisfied = join([X, Y, Z], _triangle_parts(r, s, t), {}, [])
+    assert satisfied.attributes == ("__exists__",)
+    assert satisfied.num_rows == 1
+    missing = join([X, Y, Z], _triangle_parts(r, s, [(5, 5)]), {}, [])
+    assert missing.num_rows == 0
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 1 << 20])
+def test_drained_stream_is_the_materialized_join(chunk_rows):
+    """Same rows, same order, same ``enumerated_tuples`` at any chunk
+    size: the materialized join is the stream drained in one chunk."""
+    a = Variable("a")
+    r = [(0, 1), (1, 2), (0, 3), (2, 2), (0, 2), (2, 0)]
+    s = [(1, 2), (2, 0), (3, 0), (2, 2), (0, 1), (1, 0)]
+    t = [(0, 2), (1, 0), (2, 2), (0, 0), (2, 1), (0, 3)]
+    types = [(7, 0), (7, 1), (7, 2), (8, 1)]
+    parts = _triangle_parts(r, s, t) + [_participant(types, (a, X), "ty")]
+    args = ([a, X, Y, Z], parts, {a: 7}, [X, Y, Z])
+    whole_stats = SimpleNamespace(enumerated_tuples=0)
+    whole = generic_join(*args, stats=whole_stats)
+    chunk_stats = SimpleNamespace(enumerated_tuples=0)
+    drained = drained_stream(chunk_rows)(*args, stats=chunk_stats)
+    assert whole.num_rows == 8
+    assert list(drained.iter_rows()) == list(whole.iter_rows())
+    # The frontier after x (3 rows), after y (6) and after z (8).
+    assert whole_stats.enumerated_tuples == 3 + 6 + 8
+    assert chunk_stats.enumerated_tuples == whole_stats.enumerated_tuples

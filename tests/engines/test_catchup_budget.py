@@ -93,11 +93,9 @@ def test_catch_up_hashes_nothing_and_sorts_only_the_batch(
     sort_calls.clear()
     engine.check_data_version()
     assert engine._data_version == store.data_version
-    # A lexsort's input is its key columns: the three-column view's
-    # batch counts three times.
     largest_sort = max(size for _, size in sort_calls)
     assert (len(isin_calls), len(flattened)) == (0, 0)
-    assert largest_sort <= 3 * batch
+    assert largest_sort <= batch
 
 
 def test_patched_relation_builds_a_trie_without_sorting(warm, sort_calls):

@@ -7,15 +7,8 @@ from repro.sets import (
     EMPTY_SET,
     SetLayout,
     build_set,
-    intersect,
     intersect_arrays,
     intersect_many,
-    intersect_values,
-)
-from repro.sets.intersect import (
-    difference_arrays,
-    intersect_array_with_sets,
-    union_arrays,
 )
 
 LAYOUTS = (SetLayout.UINT_ARRAY, SetLayout.BITSET)
@@ -30,7 +23,7 @@ def _arr(*values):
 def test_pairwise_intersection_all_layouts(layout_a, layout_b):
     a = build_set(_arr(1, 3, 5, 7, 9, 100), force_layout=layout_a)
     b = build_set(_arr(3, 4, 7, 100, 200), force_layout=layout_b)
-    assert list(intersect_values(a, b)) == [3, 7, 100]
+    assert list(intersect_many([a, b])) == [3, 7, 100]
 
 
 @pytest.mark.parametrize("layout_a", LAYOUTS)
@@ -38,27 +31,13 @@ def test_pairwise_intersection_all_layouts(layout_a, layout_b):
 def test_disjoint_ranges_shortcut(layout_a, layout_b):
     a = build_set(_arr(1, 2, 3), force_layout=layout_a)
     b = build_set(_arr(1000, 1001), force_layout=layout_b)
-    assert intersect_values(a, b).size == 0
+    assert intersect_many([a, b]).size == 0
 
 
 def test_intersect_with_empty():
     a = build_set(_arr(1, 2))
-    assert intersect_values(a, EMPTY_SET).size == 0
-    assert intersect_values(EMPTY_SET, a).size == 0
-
-
-def test_intersect_rewraps_through_optimizer():
-    a = build_set(np.arange(100, dtype=np.uint32))
-    b = build_set(np.arange(50, 150, dtype=np.uint32))
-    result = intersect(a, b)
-    assert result.cardinality == 50
-    assert result.layout is SetLayout.BITSET  # dense result stays dense
-
-
-def test_intersect_to_empty_singleton():
-    a = build_set(_arr(1))
-    b = build_set(_arr(2))
-    assert intersect(a, b) is EMPTY_SET
+    assert intersect_many([a, EMPTY_SET]).size == 0
+    assert intersect_many([EMPTY_SET, a]).size == 0
 
 
 def test_intersect_arrays_galloping_path():
@@ -98,30 +77,8 @@ def test_intersect_many_early_exit_on_empty():
     assert intersect_many(sets).size == 0
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_intersect_array_with_sets(layout):
-    values = _arr(1, 2, 3, 4, 5)
-    sets = [
-        build_set(_arr(2, 3, 4, 9), force_layout=layout),
-        build_set(_arr(3, 4, 5), force_layout=layout),
-    ]
-    assert list(intersect_array_with_sets(values, sets)) == [3, 4]
-
-
-def test_union_arrays():
-    assert list(union_arrays(_arr(1, 3), _arr(2, 3))) == [1, 2, 3]
-    assert list(union_arrays(_arr(), _arr(5))) == [5]
-    assert list(union_arrays(_arr(5), _arr())) == [5]
-
-
-def test_difference_arrays():
-    assert list(difference_arrays(_arr(1, 2, 3, 4), _arr(2, 4))) == [1, 3]
-    assert list(difference_arrays(_arr(1, 2), _arr())) == [1, 2]
-    assert list(difference_arrays(_arr(), _arr(1))) == []
-
-
 def test_bitset_word_boundary_intersection():
     # Sets crossing word boundaries with different bases.
     a = build_set(_arr(60, 61, 62, 63, 64, 65), force_layout=SetLayout.BITSET)
     b = build_set(_arr(63, 64, 200), force_layout=SetLayout.BITSET)
-    assert list(intersect_values(a, b)) == [63, 64]
+    assert list(intersect_many([a, b])) == [63, 64]

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sets import SetLayout, build_set, intersect_many, intersect_values
+from repro.sets import SetLayout, build_set, intersect_many
 from repro.sets.layout import choose_layout
 
 values_strategy = st.lists(
@@ -35,7 +35,7 @@ def test_intersection_matches_python_set(a_vals, b_vals, la, lb):
     a = build_set(a_vals, force_layout=la)
     b = build_set(b_vals, force_layout=lb)
     expected = sorted(set(a_vals) & set(b_vals))
-    assert list(intersect_values(a, b)) == expected
+    assert list(intersect_many([a, b])) == expected
 
 
 @given(st.lists(values_strategy, min_size=1, max_size=4), layouts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from repro.core.generic_join import generic_join_stream
 from repro.core.query import (
     Atom,
     ConjunctiveQuery,
@@ -16,6 +17,29 @@ from repro.core.sketch import TableSketches, build_table_sketches
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.vertical import vertically_partition
+
+
+def drained_stream(chunk_rows: int):
+    """``generic_join_stream`` at ``chunk_rows``, drained into one
+    relation: a join with :func:`~repro.core.generic_join.generic_join`'s
+    signature."""
+
+    def join(attrs, participants, selections, output_attrs, stats=None):
+        chunks = list(
+            generic_join_stream(
+                attrs, participants, selections, output_attrs,
+                chunk_rows=chunk_rows, stats=stats,
+            )
+        )
+        if not chunks:
+            return Relation.empty("join", [v.name for v in output_attrs])
+        result = chunks[0]
+        for chunk in chunks[1:]:
+            result = result.concat(chunk)
+        return result
+
+    join.__name__ = f"generic_join_stream_drained_{chunk_rows}"
+    return join
 
 
 def build_store(triples):
