@@ -28,6 +28,7 @@ from repro.core.generic_join import (
     Participant,
     generic_join,
     generic_join_stream,
+    relation_participant,
 )
 from repro.core.modifiers import finalize_result
 from repro.core.planner import Plan
@@ -37,7 +38,6 @@ from repro.errors import ExecutionError
 from repro.relalg.kernels import cross_product, natural_join
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
-from repro.trie.trie import Trie
 
 
 @dataclass
@@ -282,8 +282,11 @@ class GHDExecutor:
             self._atom_participant(plan, i, attrs) for i in atom_indices
         ]
         for child_id in child_ids:
-            participant = self._child_participant(
-                plan, child_id, attrs, results[child_id]
+            participant = relation_participant(
+                results[child_id],
+                attrs,
+                f"child{child_id}",
+                plan.config.force_layout,
             )
             if participant is not None:
                 participants.append(participant)
@@ -312,27 +315,6 @@ class GHDExecutor:
         )
         return Participant(
             trie=trie, attrs=tuple(var_order), label=repr(atom)
-        )
-
-    def _child_participant(
-        self,
-        plan: Plan,
-        child_id: int,
-        attrs: list[Variable],
-        child_result: Relation,
-    ) -> Participant | None:
-        """The child's result projected onto shared attributes, as a trie."""
-        shared = [v for v in attrs if v.name in child_result.attributes]
-        if not shared:
-            return None
-        names = [v.name for v in shared]
-        # distinct() leaves the rows sorted in ``names`` order: no re-sort.
-        projected = child_result.project(names).distinct()
-        trie = Trie.from_sorted_distinct(
-            projected.columns, names, force_layout=plan.config.force_layout
-        )
-        return Participant(
-            trie=trie, attrs=tuple(shared), label=f"child{child_id}"
         )
 
     # ------------------------------------------------------------------

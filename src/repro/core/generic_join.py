@@ -48,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.query import Variable
-from repro.sets.base import VALUE_DTYPE
+from repro.sets.base import VALUE_DTYPE, SetLayout
 from repro.sets.intersect import intersect_many
 from repro.storage.relation import Relation
 from repro.trie.trie import Trie, TrieNode
@@ -68,6 +68,27 @@ class Participant:
                 f"participant {self.label!r}: {len(self.attrs)} attrs for a "
                 f"{self.trie.num_levels}-level trie"
             )
+
+
+def relation_participant(
+    relation: Relation,
+    attrs: list[Variable],
+    label: str,
+    force_layout: SetLayout | None = None,
+) -> Participant | None:
+    """A materialized result as a participant: projected onto its
+    attributes in ``attrs`` order, deduplicated, as a trie (``None``
+    when it shares no attribute with ``attrs``)."""
+    shared = [v for v in attrs if v.name in relation.attributes]
+    if not shared:
+        return None
+    names = [v.name for v in shared]
+    # distinct() leaves the rows sorted in ``names`` order: no re-sort.
+    projected = relation.project(names).distinct()
+    trie = Trie.from_sorted_distinct(
+        projected.columns, names, force_layout=force_layout
+    )
+    return Participant(trie=trie, attrs=tuple(shared), label=label)
 
 
 def plan_attribute_list(
@@ -560,4 +581,5 @@ __all__ = [
     "generic_join_stream",
     "generic_join_recursive",
     "plan_attribute_list",
+    "relation_participant",
 ]

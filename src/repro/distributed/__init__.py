@@ -4,7 +4,8 @@ The in-tree distribution tier (ISSUE 10): triples hash-partition by
 subject across N :class:`~repro.storage.vertical.VerticallyPartitionedStore`
 shards sharing one dictionary (:mod:`repro.distributed.partition`,
 :mod:`repro.distributed.store`); bound conjunctive queries compile into
-per-shard fragments plus a deterministic merge
+per-shard fragments plus a deterministic merge — ``concat + distinct``
+for one fragment, the generic join over fragment results for several
 (:mod:`repro.distributed.fragments`); and a
 :class:`~repro.distributed.engine.ShardedEngine` scatters fragments
 over in-process engines or per-shard worker pools
@@ -16,7 +17,6 @@ execution.
 
 from repro.distributed.engine import ShardedEngine
 from repro.distributed.fragments import (
-    DEFAULT_BROADCAST_ROWS,
     FragmentPlan,
     compile_fragment_plan,
 )
@@ -28,7 +28,6 @@ from repro.distributed.transport import (
 )
 
 __all__ = [
-    "DEFAULT_BROADCAST_ROWS",
     "FragmentPlan",
     "LocalShardTransport",
     "PooledShardTransport",

@@ -8,7 +8,10 @@ is inherited unchanged. Only the conjunctive core is replaced: each
 bound query is compiled into a :class:`FragmentPlan`
 (:mod:`repro.distributed.fragments`), scattered over the transport
 (in-process engines or per-shard worker pools) and merged
-deterministically.
+deterministically: a one-fragment plan by ``concat + distinct`` (or a
+k-way merge of per-shard streams), a multi-fragment plan by one
+:func:`~repro.core.generic_join.generic_join` over the fragment
+results, under the plan's attribute order.
 
 Every scatter runs inside the store's **read epoch**, so all fragments
 — including crash-retried ones — observe one cross-shard snapshot and
@@ -22,14 +25,14 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator, Sequence
 
+from repro.core.blocks import block_queries
+from repro.core.generic_join import generic_join, relation_participant
 from repro.core.query import (
     BoundUnion,
     ConjunctiveQuery,
     substitute_parameters,
 )
-from repro.core.blocks import block_queries
 from repro.distributed.fragments import (
-    DEFAULT_BROADCAST_ROWS,
     Fragment,
     FragmentPlan,
     compile_fragment_plan,
@@ -38,7 +41,6 @@ from repro.distributed.store import ShardedStore
 from repro.distributed.transport import LocalShardTransport
 from repro.engines.base import Engine
 from repro.errors import ConfigError
-from repro.relalg.kernels import cross_product, natural_join
 from repro.storage.relation import Relation
 
 #: Row target for chunks produced by the k-way shard stream merge.
@@ -56,7 +58,6 @@ class ShardedEngine(Engine):
         engine: str = "emptyheaded",
         *,
         transport=None,
-        broadcast_rows: int = DEFAULT_BROADCAST_ROWS,
     ) -> None:
         if not isinstance(store, ShardedStore):
             raise ConfigError(
@@ -65,7 +66,6 @@ class ShardedEngine(Engine):
             )
         super().__init__(store)
         self.engine_name = engine
-        self.broadcast_rows = broadcast_rows
         self.transport = (
             transport
             if transport is not None
@@ -102,7 +102,6 @@ class ShardedEngine(Engine):
             query,
             self.store.shard_count,
             self.store._column_sketches_locked(),
-            self.broadcast_rows,
         )
 
     def explain_sparql(self, text: str, parameters=None) -> str:
@@ -138,18 +137,25 @@ class ShardedEngine(Engine):
             merged = self._scatter_locked(plan)
         if plan.single:
             return merged[0]
-        keep: list[tuple[int, Relation]] = []
+        order = list(plan.order)
+        participants = []
         for fragment, relation in zip(plan.fragments, merged):
             if relation.num_rows == 0:
                 # Inner-join semantics: one empty fragment (even an
                 # existential one) empties the whole result.
                 return Relation.empty(query.name, names)
             if not fragment.existential:
-                keep.append((fragment.estimate, relation))
-        if not keep:
+                participants.append(
+                    relation_participant(
+                        relation, order, f"fragment{fragment.index}"
+                    )
+                )
+        if not participants:
             return Relation.empty(query.name, names)
-        keep.sort(key=lambda pair: pair[0])
-        joined = _join_all([relation for _, relation in keep])
+        # A fragment sharing no variable with the rest binds its own
+        # attributes independently: the cross product, in one loop.
+        output = [v for v in order if v.name in names]
+        joined = generic_join(order, participants, {}, output, query.name)
         return (
             joined.project(names).distinct().rename(name=query.name)
         )
@@ -235,30 +241,6 @@ def _gather(parts: list[Relation]) -> Relation:
     for part in parts[1:]:
         merged = merged.concat(part)
     return merged.distinct()
-
-
-def _join_all(relations: list[Relation]) -> Relation:
-    """Pairwise-join fragment results, smallest (estimated) first.
-
-    Prefers a join partner sharing an attribute with the accumulated
-    result; a genuinely disconnected fragment falls back to a cross
-    product (its rows constrain nothing but still multiply per SPARQL
-    join semantics — the final projection + distinct collapses them).
-    """
-    remaining = list(relations)
-    result = remaining.pop(0)
-    while remaining:
-        pick = 0
-        for index, relation in enumerate(remaining):
-            if set(relation.attributes) & set(result.attributes):
-                pick = index
-                break
-        relation = remaining.pop(pick)
-        if set(relation.attributes) & set(result.attributes):
-            result = natural_join(result, relation)
-        else:
-            result = cross_product(result, relation)
-    return result
 
 
 def _merged_chunks(

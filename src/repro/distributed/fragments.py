@@ -6,21 +6,18 @@ subject is the *same term* matches triples living on the *same shard*
 subject, whichever shard each binding's subject hashes to). So the
 compiler groups atoms by subject term:
 
-* **one group** — the whole query is *partitioned*: each shard runs it
-  verbatim over its slice and the merge is ``concat + distinct`` (the
-  canonical order makes per-shard ``LIMIT offset+limit`` pushdown
-  sound: the global top-k is contained in the union of per-shard
-  top-ks).
+* **one group** — each shard runs the whole query verbatim over its
+  slice and the merge is ``concat + distinct`` (the canonical order
+  makes per-shard ``LIMIT offset+limit`` pushdown sound: the global
+  top-k is contained in the union of per-shard top-ks).
 * **several groups** — each group becomes a fragment projecting onto
   its join/output variables; fragments scatter independently and the
-  coordinator merges with pairwise natural joins, smallest estimated
-  fragment first. The estimates come from the PR 9 frequency sketches;
-  a fragment at or under ``broadcast_rows`` is labelled *broadcast*
-  (its result is shipped whole to the coordinator's hash build), the
-  largest fragment stays *partitioned*, anything bigger than the
-  threshold is a *gather*. A constant-subject group is *targeted* at
-  its owning shard only, and a variable-free group degenerates to a
-  coordinator-side membership probe.
+  coordinator binds their results with one generic join (Algorithm 1)
+  under the planner's global attribute order for the whole query,
+  restricted to the variables the fragments project.
+
+A constant-subject group is *targeted* at its owning shard only, and a
+variable-free group degenerates to a coordinator-side membership probe.
 
 The compiler is pure (query + sketches in, plan out) — epoch discipline
 is the executor's job.
@@ -30,17 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.config import OptimizationConfig
+from repro.core.planner import Planner
 from repro.core.query import Atom, ConjunctiveQuery, Constant, Variable
 from repro.core.sketch import TableSketches
 
-#: Fragments estimated at or below this many rows are broadcast to the
-#: coordinator's hash build first; bigger ones are gathered after.
-DEFAULT_BROADCAST_ROWS = 1024
 
-PARTITIONED = "partitioned"
-BROADCAST = "broadcast"
-GATHER = "gather"
-TARGETED = "targeted"
+#: The coordinator binds every fragment result in one generic join — a
+#: single GHD node — so its order is planned without a decomposition:
+#: the same sketch-bound order search, minus the GHD search, which
+#: grows with the atom count and would rerun on every execution
+#: (fragment plans are compiled per execution, not cached).
+_COORDINATOR_CONFIG = OptimizationConfig.all_on().but(use_ghd=False)
 
 
 @dataclass(frozen=True)
@@ -50,15 +48,14 @@ class Fragment:
     index: int
     subject: Variable | Constant
     query: ConjunctiveQuery
-    disposition: str
-    estimate: int
     #: Result only gates non-emptiness; it joins nothing and projects
     #: into nothing (its variables are private to the group).
     existential: bool = False
 
     @property
     def targeted(self) -> bool:
-        return self.disposition == TARGETED
+        """A constant subject lives on one shard: only it runs this."""
+        return isinstance(self.subject, Constant)
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,15 @@ class FragmentPlan:
 
     name: str
     shard_count: int
-    broadcast_rows: int
     projection: tuple[Variable, ...]
     fragments: tuple[Fragment, ...]
     probes: tuple[MembershipProbe, ...]
     #: True when one fragment covers the whole query — merge is pure
     #: concat + distinct and the streaming path can k-way merge.
     single: bool
+    #: The coordinator's generic-join order over the fragment results
+    #: (multi-fragment plans only).
+    order: tuple[Variable, ...] = ()
 
     def explain(self) -> str:
         """Human-readable fragment plan (the ``/explain`` payload)."""
@@ -92,14 +91,16 @@ class FragmentPlan:
             atoms = ", ".join(
                 atom.relation for atom in fragment.query.atoms
             )
-            note = f"est ~{fragment.estimate} rows"
-            if fragment.disposition == BROADCAST:
-                note += f" <= broadcast threshold {self.broadcast_rows}"
+            target = (
+                "targeted (owning shard)"
+                if fragment.targeted
+                else "every shard"
+            )
             if fragment.existential:
-                note += ", existence only"
+                target += ", existence only"
             lines.append(
                 f"  fragment {fragment.index} [{_term(fragment.subject)}]:"
-                f" atoms({atoms}) -> {fragment.disposition} ({note})"
+                f" atoms({atoms}) -> {target}"
             )
         for probe in self.probes:
             atoms = ", ".join(atom.relation for atom in probe.atoms)
@@ -116,11 +117,12 @@ class FragmentPlan:
             )
             lines.append(f"  merge: concat + distinct{suffix}")
         elif self.fragments:
+            order = ", ".join(variable.name for variable in self.order)
             names = ", ".join(
                 variable.name for variable in self.projection
             )
             lines.append(
-                "  merge: natural join, smallest fragment first; "
+                f"  merge: generic join over [{order}]; "
                 f"project ({names}); distinct"
             )
         return "\n".join(lines)
@@ -130,25 +132,6 @@ def _term(term: Variable | Constant) -> str:
     if isinstance(term, Variable):
         return f"?{term.name}"
     return f"={term.value}"
-
-
-def _atom_estimate(atom: Atom, sketches: TableSketches) -> int:
-    """Sketch-based row estimate for one atom (0 = provably empty)."""
-    table = sketches.get(atom.relation)
-    if table is None:
-        return 0
-    attrs = (
-        ("subject", "object")
-        if len(atom.terms) == 2
-        else ("subject", "predicate", "object")
-    )
-    first = next(iter(table.values()), None)
-    estimate = first.total if first is not None else 0
-    for attr, term in zip(attrs, atom.terms):
-        sketch = table.get(attr)
-        if isinstance(term, Constant) and sketch is not None:
-            estimate = min(estimate, sketch.count(int(term.value)))
-    return int(estimate)
 
 
 def _group_projection(
@@ -183,13 +166,13 @@ def compile_fragment_plan(
     query: ConjunctiveQuery,
     shard_count: int,
     sketches: TableSketches,
-    broadcast_rows: int = DEFAULT_BROADCAST_ROWS,
 ) -> FragmentPlan:
     """Compile a bound, modifier-free conjunctive query.
 
     ``query`` is what :meth:`Engine.split_modifiers` hands to
     ``_execute_bound``: filters and ORDER BY already stripped (or the
-    bare query with only limit/offset attached).
+    bare query with only limit/offset attached). ``sketches`` order the
+    coordinator's generic join of a multi-fragment plan.
     """
     groups: dict[Variable | Constant, list[Atom]] = {}
     for atom in query.atoms:
@@ -209,24 +192,11 @@ def compile_fragment_plan(
                 shard_query = replace(
                     query, limit=query.offset + query.limit, offset=0
                 )
-            disposition = (
-                TARGETED if isinstance(subject, Constant) else PARTITIONED
-            )
-            fragment = Fragment(
-                index=0,
-                subject=subject,
-                query=shard_query,
-                disposition=disposition,
-                estimate=min(
-                    _atom_estimate(atom, sketches) for atom in atoms
-                ),
-            )
             return FragmentPlan(
                 name=query.name,
                 shard_count=shard_count,
-                broadcast_rows=broadcast_rows,
                 projection=query.projection,
-                fragments=(fragment,),
+                fragments=(Fragment(0, subject, shard_query),),
                 probes=(),
                 single=True,
             )
@@ -234,7 +204,6 @@ def compile_fragment_plan(
         return FragmentPlan(
             name=query.name,
             shard_count=shard_count,
-            broadcast_rows=broadcast_rows,
             projection=query.projection,
             fragments=(),
             probes=(MembershipProbe(tuple(atoms)),),
@@ -243,7 +212,6 @@ def compile_fragment_plan(
 
     fragments: list[Fragment] = []
     probes: list[MembershipProbe] = []
-    estimates: list[int] = []
     entries: list[tuple[Variable | Constant, tuple[Atom, ...]]] = []
     for subject, atoms in groups.items():
         if not any(
@@ -254,18 +222,6 @@ def compile_fragment_plan(
             probes.append(MembershipProbe(tuple(atoms)))
             continue
         entries.append((subject, tuple(atoms)))
-        estimates.append(
-            min(_atom_estimate(atom, sketches) for atom in atoms)
-        )
-
-    # The biggest variable-subject fragment anchors as partitioned;
-    # smaller ones broadcast (under the threshold) or gather.
-    anchor = -1
-    for position, (subject, _) in enumerate(entries):
-        if isinstance(subject, Constant):
-            continue
-        if anchor < 0 or estimates[position] > estimates[anchor]:
-            anchor = position
 
     for position, (subject, atoms) in enumerate(entries):
         other_vars: set[Variable] = set()
@@ -281,14 +237,6 @@ def compile_fragment_plan(
         projection, existential = _group_projection(
             atoms, other_vars, query.projection
         )
-        if isinstance(subject, Constant):
-            disposition = TARGETED
-        elif position == anchor:
-            disposition = PARTITIONED
-        elif estimates[position] <= broadcast_rows:
-            disposition = BROADCAST
-        else:
-            disposition = GATHER
         fragments.append(
             Fragment(
                 index=position,
@@ -298,29 +246,34 @@ def compile_fragment_plan(
                     projection=projection,
                     name=f"{query.name}#f{position}",
                 ),
-                disposition=disposition,
-                estimate=estimates[position],
                 existential=existential,
             )
         )
 
+    joined = {
+        variable
+        for fragment in fragments
+        if not fragment.existential
+        for variable in fragment.query.projection
+    }
+    order: tuple[Variable, ...] = ()
+    if joined:
+        global_order = (
+            Planner(_COORDINATOR_CONFIG, sketches).plan(query).global_order
+        )
+        order = tuple(v for v in global_order if v in joined)
     return FragmentPlan(
         name=query.name,
         shard_count=shard_count,
-        broadcast_rows=broadcast_rows,
         projection=query.projection,
         fragments=tuple(fragments),
         probes=tuple(probes),
         single=False,
+        order=order,
     )
 
 
 __all__ = [
-    "DEFAULT_BROADCAST_ROWS",
-    "PARTITIONED",
-    "BROADCAST",
-    "GATHER",
-    "TARGETED",
     "Fragment",
     "MembershipProbe",
     "FragmentPlan",

@@ -180,28 +180,18 @@ def test_shared_variable_three_ways(config):
 # Child semijoin participants (regression for a dead-code refilter bug)
 # ---------------------------------------------------------------------------
 def test_child_participant_projects_shared_attributes_in_order():
-    """Regression: `_child_participant` once refiltered `shared` by
-    `attr_set` twice; the participant must be exactly the node attrs
+    """Regression: the child participant step once refiltered `shared`
+    by `attr_set` twice; the participant must be exactly the node attrs
     that appear in the child result, in node-attribute order."""
-    from repro.core.executor import GHDExecutor
-    from repro.core.planner import Planner
+    from repro.core.generic_join import relation_participant
     from repro.storage.relation import Relation
-
-    catalog = catalog_of({"r": [(0, 1)], "s": [(1, 2)]})
-    planner = Planner(OptimizationConfig.all_on(), sketches_of(catalog))
-    plan = planner.plan(
-        ConjunctiveQuery((Atom("r", (X, Y)), Atom("s", (Y, Z))), (X, Z))
-    )
-    executor = GHDExecutor(catalog)
 
     # Child materialized (y, x, w); node attrs order [Y, X]: the shared
     # attributes follow the node order and drop the private `w`.
     child_result = Relation.from_rows(
         "child", ["y", "x", "w"], [(1, 0, 5), (2, 0, 6), (2, 0, 7)]
     )
-    participant = executor._child_participant(
-        plan, 1, [Y, X], child_result
-    )
+    participant = relation_participant(child_result, [Y, X], "child1")
     assert participant is not None
     assert participant.attrs == (Y, X)
     assert participant.trie.num_levels == 2
@@ -210,9 +200,7 @@ def test_child_participant_projects_shared_attributes_in_order():
 
     # No shared attributes -> no participant (pure cross-product child).
     assert (
-        executor._child_participant(
-            plan, 1, [Variable("q")], child_result
-        )
+        relation_participant(child_result, [Variable("q")], "child1")
         is None
     )
 

@@ -1,14 +1,11 @@
-"""Fragment compilation: grouping, dispositions, pushdown, explain."""
+"""Fragment compilation: grouping, targeting, pushdown, merge order,
+explain."""
 
 import pytest
 
+from repro.core.config import OptimizationConfig
+from repro.core.planner import Planner
 from repro.distributed import ShardedEngine, ShardedStore
-from repro.distributed.fragments import (
-    BROADCAST,
-    GATHER,
-    PARTITIONED,
-    TARGETED,
-)
 
 EX = "http://ex/"
 
@@ -33,16 +30,15 @@ def engine():
     return ShardedEngine(store)
 
 
-def _plan(engine, text, **overrides):
-    if overrides:
-        engine = ShardedEngine(
-            engine.store, engine.engine_name, **overrides
-        )
-    query = engine.prepare_sparql(text)
-    bound = engine.bind(query)
+def _inner(engine, text):
+    bound = engine.bind(engine.prepare_sparql(text))
     assert bound is not None, text
     inner, _ = engine.split_modifiers(bound)
-    return engine.plan_for(inner)
+    return inner
+
+
+def _plan(engine, text):
+    return engine.plan_for(_inner(engine, text))
 
 
 def test_single_subject_group_compiles_to_one_partitioned_fragment(
@@ -55,10 +51,11 @@ def test_single_subject_group_compiles_to_one_partitioned_fragment(
     )
     assert plan.single
     assert len(plan.fragments) == 1
-    assert plan.fragments[0].disposition == PARTITIONED
+    assert not plan.fragments[0].targeted
     assert plan.shard_count == 3
     assert plan.probes == ()
-    assert "partitioned" in plan.explain()
+    assert plan.order == ()
+    assert "-> every shard" in plan.explain()
     assert "concat + distinct" in plan.explain()
 
 
@@ -80,33 +77,39 @@ def test_constant_subject_targets_one_shard(engine):
         engine, f"SELECT ?y WHERE {{ <{EX}s3> <{EX}advisor> ?y }}"
     )
     fragment = plan.fragments[0]
-    assert fragment.disposition == TARGETED
     assert fragment.targeted
     assert "targeted" in plan.explain()
 
 
-def test_multi_group_plans_anchor_and_broadcast_by_estimate(engine):
+def test_multi_group_plans_merge_by_generic_join_in_planner_order(
+    engine,
+):
     text = (
         f"SELECT ?x ?z WHERE {{ ?x <{EX}memberOf> ?y . "
         f"?y <{EX}worksFor> ?z }}"
     )
-    plan = _plan(engine, text)
+    inner = _inner(engine, text)
+    plan = engine.plan_for(inner)
     assert not plan.single
     assert len(plan.fragments) == 2
-    dispositions = {f.disposition for f in plan.fragments}
-    # The bigger (memberOf) group anchors as partitioned; the tiny
-    # worksFor group fits under the default broadcast threshold.
-    assert dispositions == {PARTITIONED, BROADCAST}
+    assert not any(f.targeted for f in plan.fragments)
+    # The coordinator's order is the planner's global order for the
+    # whole query as one node, restricted to the variables the
+    # fragments project.
+    planned = Planner(
+        OptimizationConfig.all_on().but(use_ghd=False),
+        engine.store.column_sketches(),
+    ).plan(inner).global_order
+    projected = {
+        v for f in plan.fragments for v in f.query.projection
+    }
+    assert plan.order == tuple(v for v in planned if v in projected)
+    assert {v.name for v in plan.order} == {"x", "y", "z"}
     explain = plan.explain()
     assert "scatter-gather plan" in explain
-    assert "natural join" in explain
-
-    # Threshold 0 forces the small group to gather instead.
-    gathered = _plan(engine, text, broadcast_rows=0)
-    assert {f.disposition for f in gathered.fragments} == {
-        PARTITIONED,
-        GATHER,
-    }
+    order = ", ".join(v.name for v in plan.order)
+    assert f"merge: generic join over [{order}]" in explain
+    assert "natural join" not in explain
 
 
 def test_variable_free_group_becomes_membership_probe(engine):
@@ -117,7 +120,7 @@ def test_variable_free_group_becomes_membership_probe(engine):
     )
     assert len(plan.probes) == 1
     assert len(plan.fragments) == 1
-    assert plan.fragments[0].disposition == PARTITIONED
+    assert not plan.fragments[0].targeted
 
 
 def test_fragment_queries_project_join_and_output_vars(engine):

@@ -121,7 +121,8 @@ def test_service_surface_over_sharded_store(stores):
     assert stats["tables"] == len(sharded_store.tables)
     assert stats["engine"] == "sharded"
     explain = session.explain(QUERIES[1])
-    assert "partitioned" in explain
+    assert "scatter-gather plan" in explain
+    assert "-> every shard" in explain
 
 
 # ---------------------------------------------------------------------------

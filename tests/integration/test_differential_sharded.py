@@ -9,12 +9,20 @@ scatter-gather path. A second leg drives ``add_triples`` /
 ``remove_triples`` against *open* streaming cursors: the pinned
 cross-shard epoch must keep serving the pre-update snapshot while
 fresh executions see the mutated graph, row-for-row with the single
-store.
+store. A third leg runs cyclic, clique, hub-star and disconnected
+shapes whose atoms have different subjects, so the coordinator joins
+several fragment results — with the generic join and never pairwise.
 """
 
+import ast
+import pathlib
 import random
+import sys
 
 import pytest
+
+import repro.distributed
+import repro.relalg.kernels
 
 from repro.distributed import ShardedEngine, ShardedStore
 from repro.engines import ALL_ENGINES
@@ -157,3 +165,129 @@ def test_sharded_open_cursors_pin_epoch_through_updates(seed):
                     f"shards={count}: post-update stream returned "
                     f"{rows!r}, single store {expected!r}"
                 )
+
+
+# ---------------------------------------------------------------------------
+# Multi-fragment shapes: the coordinator's generic join
+# ---------------------------------------------------------------------------
+EX = "http://ex/"
+EDGE = f"<{EX}e>"
+TAG = f"<{EX}tag>"
+SHAPE_SHARDS = (1, 2, 3)
+
+#: Every atom subject differs across groups, so each shape compiles to
+#: several fragments and exercises the coordinator merge.
+SHAPES = {
+    "triangle": "SELECT ?a ?b ?c WHERE { "
+    f"?a {EDGE} ?b . ?b {EDGE} ?c . ?c {EDGE} ?a }}",
+    "cycle4": "SELECT ?a ?b ?c ?d WHERE { "
+    f"?a {EDGE} ?b . ?b {EDGE} ?c . ?c {EDGE} ?d . ?d {EDGE} ?a }}",
+    "clique4": "SELECT ?a ?b ?c ?d WHERE { "
+    f"?a {EDGE} ?b . ?a {EDGE} ?c . ?a {EDGE} ?d . "
+    f"?b {EDGE} ?c . ?b {EDGE} ?d . ?c {EDGE} ?d }}",
+    "lollipop": "SELECT ?a ?b ?c ?d WHERE { "
+    f"?a {EDGE} ?b . ?b {EDGE} ?c . ?c {EDGE} ?a . ?a {EDGE} ?d }}",
+    # The hub's leaves are subjects of their own atoms, joined on ?t.
+    "hub_star": "SELECT ?h ?a ?b ?t WHERE { "
+    f"?h {EDGE} ?a . ?h {EDGE} ?b . ?a {TAG} ?t . ?b {TAG} ?t }}",
+    # Two groups sharing no variable: a cross product at the coordinator.
+    "disconnected": "SELECT ?a ?b ?t WHERE { "
+    f"?a {EDGE} ?b . ?b {EDGE} ?a . ?c {TAG} ?t }}",
+}
+
+
+def _community_graph(seed, nodes=40, edges=110, community=8):
+    """A sparse random digraph plus a planted dense community (member
+    ``i`` points at the next ``community // 2`` members), and a tag
+    per node."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < edges:
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if a != b:
+            pairs.add((a, b))
+    members = rng.sample(range(nodes), community)
+    for i, a in enumerate(members):
+        for step in range(1, community // 2 + 1):
+            pairs.add((a, members[(i + step) % community]))
+    triples = [
+        (f"<{EX}n{a}>", EDGE, f"<{EX}n{b}>") for a, b in pairs
+    ] + [
+        (f"<{EX}n{n}>", TAG, f"<{EX}t{rng.randrange(3)}>")
+        for n in range(nodes)
+    ]
+    return sorted(triples)
+
+
+
+def _inner(engine, text):
+    bound = engine.bind(engine.prepare_sparql(text))
+    inner, _ = engine.split_modifiers(bound)
+    return inner
+
+
+@pytest.fixture(scope="module")
+def community():
+    graph = _community_graph(11)
+    _, singles = _single_engines(graph)
+    stores = {
+        count: ShardedStore.partition(graph, count)
+        for count in SHAPE_SHARDS
+    }
+    return singles, stores
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_multi_fragment_shapes_match_single_store(community, shape):
+    singles, stores = community
+    text = SHAPES[shape]
+    for name, engine in singles.items():
+        expected = engine.decode(engine.execute_sparql(text))
+        assert expected, (shape, name)  # the planted community matches
+        for count, store in stores.items():
+            sharded = ShardedEngine(store, name)
+            plan = sharded.plan_for(_inner(sharded, text))
+            assert len(plan.fragments) > 1, (shape, plan.explain())
+            rows = sharded.decode(sharded.execute_sparql(text))
+            assert rows == expected, (
+                f"shape={shape} engine={name} shards={count}: sharded "
+                f"returned {len(rows)} rows, single store "
+                f"{len(expected)}"
+            )
+
+
+@pytest.mark.parametrize("shape", ["triangle", "disconnected"])
+def test_coordinator_joins_no_pair(community, monkeypatch, shape):
+    """No pairwise kernel runs for a sharded multi-fragment query —
+    wherever a module bound the name, the spy counts the call."""
+    calls = []
+    for kernel in ("natural_join", "cross_product"):
+        original = getattr(repro.relalg.kernels, kernel)
+
+        def spy(*args, _kernel=kernel, _original=original, **kwargs):
+            calls.append(_kernel)
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, kernel, None) is original
+            ):
+                monkeypatch.setattr(module, kernel, spy)
+    _, stores = community
+    engine = ShardedEngine(stores[2])
+    assert engine.execute_sparql(SHAPES[shape]).num_rows > 0
+    assert calls == []
+
+
+def test_distributed_imports_no_relalg():
+    package = pathlib.Path(repro.distributed.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not name.startswith("repro.relalg"), (path, name)
