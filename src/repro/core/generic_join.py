@@ -13,8 +13,11 @@ bindings, each row with its node position in every participant's trie,
 and binds one attribute per step with vectorized trie kernels. The
 smallest participating relation is expanded in bulk (the leapfrog
 "min-set" rule, which preserves the worst-case optimal bound) and every
-other participant filters the candidates with packed binary-search
-probes or O(1) bitset membership. This is the numpy analogue of the
+other participant filters the candidates: a fresh one by O(1) bitset
+or binary-search membership in its root set, a started one by a
+per-row probe of its trie level (:meth:`Trie.descend_rows`), where a
+hashed bytemap drops most misses before a binary search of the
+level's packed keys confirms the rest. This is the numpy analogue of the
 tight compiled loops EmptyHeaded generates — every engine in this
 library gets its bulk work done by the same numpy machinery, keeping
 cross-engine comparisons about algorithms.

@@ -6,10 +6,11 @@ subject is the *same term* matches triples living on the *same shard*
 subject, whichever shard each binding's subject hashes to). So the
 compiler groups atoms by subject term:
 
-* **one group** — each shard runs the whole query verbatim over its
-  slice and the merge is ``concat + distinct`` (the canonical order
-  makes per-shard ``LIMIT offset+limit`` pushdown sound: the global
-  top-k is contained in the union of per-shard top-ks).
+* **one group**, or **one shard** (which holds every triple) — each
+  shard runs the whole query verbatim over its slice and the merge is
+  ``concat + distinct`` (the canonical order makes per-shard
+  ``LIMIT offset+limit`` pushdown sound: the global top-k is contained
+  in the union of per-shard top-ks).
 * **several groups** — each group becomes a fragment projecting onto
   its join/output variables; fragments scatter independently and the
   coordinator binds their results with one generic join (Algorithm 1)
@@ -178,35 +179,37 @@ def compile_fragment_plan(
     for atom in query.atoms:
         groups.setdefault(atom.terms[0], []).append(atom)
 
-    if len(groups) == 1:
-        subject, atoms = next(iter(groups.items()))
-        if any(
-            isinstance(term, Variable)
-            for atom in atoms
-            for term in atom.terms
-        ):
-            shard_query = query
-            if query.limit is not None:
-                # Canonical order makes per-shard top-(offset+limit)
-                # a superset of the global slice.
-                shard_query = replace(
-                    query, limit=query.offset + query.limit, offset=0
-                )
-            return FragmentPlan(
-                name=query.name,
-                shard_count=shard_count,
-                projection=query.projection,
-                fragments=(Fragment(0, subject, shard_query),),
-                probes=(),
-                single=True,
+    has_variable = any(
+        isinstance(term, Variable)
+        for atom in query.atoms
+        for term in atom.terms
+    )
+    if has_variable and (len(groups) == 1 or shard_count == 1):
+        # One subject group, or one shard holding every triple: each
+        # shard's own engine runs the whole query under its own plan.
+        shard_query = query
+        if query.limit is not None:
+            # Canonical order makes per-shard top-(offset+limit)
+            # a superset of the global slice.
+            shard_query = replace(
+                query, limit=query.offset + query.limit, offset=0
             )
+        return FragmentPlan(
+            name=query.name,
+            shard_count=shard_count,
+            projection=query.projection,
+            fragments=(Fragment(0, query.atoms[0].terms[0], shard_query),),
+            probes=(),
+            single=True,
+        )
+    if len(groups) == 1:
         # Entirely variable-free: one membership probe, no fragments.
         return FragmentPlan(
             name=query.name,
             shard_count=shard_count,
             projection=query.projection,
             fragments=(),
-            probes=(MembershipProbe(tuple(atoms)),),
+            probes=(MembershipProbe(tuple(query.atoms)),),
             single=False,
         )
 

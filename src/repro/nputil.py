@@ -11,6 +11,9 @@ finds its positions by ``searchsorted`` (:func:`search_rows` narrows
 column by column through sorted-distinct rows) and copies each changed
 array once, so its cost follows the batch, never a sort or hash of the
 stored rows. :func:`splice_rows` applies both to whole tables.
+:func:`build_probe_filter` and :func:`probe_filter` are the hashed
+bytemap that lets a membership probe skip most misses before it
+searches.
 """
 
 from __future__ import annotations
@@ -349,3 +352,41 @@ def grouped_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if offsets.size:
         steps[offsets] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
     return np.cumsum(steps)
+
+
+#: 2**64 divided by the golden ratio, made odd: Fibonacci hashing's
+#: multiplier. The top bits of ``key * _FIBONACCI`` spread runs of
+#: consecutive keys (a trie level's packed ``parent << 32 | value``)
+#: evenly over the slots.
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _filter_slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Each key's slot in a ``2**bits``-slot bytemap: the top ``bits``
+    bits of ``key * _FIBONACCI`` (mod 2**64). A function of the key's
+    value alone, the same in every process."""
+    slots = np.asarray(keys, dtype=np.uint64) * _FIBONACCI
+    slots >>= np.uint64(64 - bits)
+    # Below 2**63 after the shift: the signed view indexes as it is.
+    return slots.view(np.int64)
+
+
+def build_probe_filter(keys: np.ndarray) -> np.ndarray:
+    """A ``bool`` bytemap over ``uint64`` ``keys`` for :func:`probe_filter`.
+
+    It has the smallest power-of-two number of slots that is at least
+    ``8 * len(keys)``, and each key sets the one slot its Fibonacci hash
+    names; one pass over the keys.
+    """
+    bits = (8 * keys.shape[0] - 1).bit_length()
+    bytemap = np.zeros(1 << bits, dtype=np.bool_)
+    bytemap[_filter_slots(keys, bits)] = True
+    return bytemap
+
+
+def probe_filter(bytemap: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``True`` for every key the bytemap was built over; a key that
+    reads ``False`` is absent. At most one slot in eight is set, so an
+    absent key passes with probability about 1 − e^(−1/8) ≈ 12 %."""
+    bits = bytemap.shape[0].bit_length() - 1
+    return bytemap[_filter_slots(keys, bits)]

@@ -1,11 +1,15 @@
 """Fragment compilation: grouping, targeting, pushdown, merge order,
 explain."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import OptimizationConfig
 from repro.core.planner import Planner
+from repro.core.query import Variable
 from repro.distributed import ShardedEngine, ShardedStore
+from repro.distributed.fragments import MembershipProbe
 
 EX = "http://ex/"
 
@@ -121,6 +125,35 @@ def test_variable_free_group_becomes_membership_probe(engine):
     assert len(plan.probes) == 1
     assert len(plan.fragments) == 1
     assert not plan.fragments[0].targeted
+
+
+def test_one_shard_runs_the_whole_query_as_one_fragment():
+    engine = ShardedEngine(ShardedStore.partition(_graph(), 1))
+    for text in (
+        f"SELECT ?x ?z WHERE {{ ?x <{EX}memberOf> ?y . "
+        f"?y <{EX}worksFor> ?z }}",
+        f"SELECT ?x ?y WHERE {{ ?x <{EX}advisor> ?y . "
+        f"<{EX}org0> <{EX}worksFor> <{EX}dept0> }}",
+    ):
+        inner = _inner(engine, text)
+        plan = engine.plan_for(inner)
+        assert plan.single, plan.explain()
+        assert plan.probes == ()
+        assert plan.fragments[0].query == inner
+    # The last query's constant atom alone has no variable: it still
+    # only probes membership.
+    constant = replace(
+        inner,
+        atoms=tuple(
+            atom
+            for atom in inner.atoms
+            if not any(isinstance(t, Variable) for t in atom.terms)
+        ),
+        projection=(),
+    )
+    plan = engine.plan_for(constant)
+    assert plan.fragments == ()
+    assert plan.probes == (MembershipProbe(constant.atoms),)
 
 
 def test_fragment_queries_project_join_and_output_vars(engine):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.trie.trie as trie_module
+from repro.engines import EmptyHeadedEngine
+from repro.storage.vertical import vertically_partition
 from repro.trie.trie import Trie
+
+from tests.integration.test_differential_sharded import (
+    SHAPES,
+    _community_graph,
+)
 
 
 @pytest.fixture()
@@ -16,11 +24,6 @@ def trie():
     ]
     cols = [np.array([r[i] for r in rows], dtype=np.uint32) for i in range(2)]
     return Trie.build(cols, ("x", "y"))
-
-
-def test_packed_level_zero_is_root_values(trie):
-    packed = trie._packed_level(0)
-    assert list(packed) == [1, 2, 4, 5]
 
 
 def test_packed_level_one_sorted(trie):
@@ -39,15 +42,6 @@ def test_descend_rows_mixed_hits(trie):
     assert [int(level1[p]) for p, f in zip(child_pos, found) if f] == [
         20, 10, 8,
     ]
-
-
-def test_descend_rows_root_level(trie):
-    found, pos = trie.descend_rows(
-        -1,
-        np.zeros(3, dtype=np.int64),
-        np.array([1, 3, 5], dtype=np.uint32),
-    )
-    assert list(found) == [True, False, True]
 
 
 def test_probe_rows_constant(trie):
@@ -87,3 +81,60 @@ def test_three_level_descend_rows():
     # Now c under (1, 2) must be [6].
     counts, values, _ = t.expand_children(1, pos)
     assert list(values) == [6]
+
+
+# ---------------------------------------------------------------------------
+# Filtered per-row probes (clock-free guards)
+# ---------------------------------------------------------------------------
+def test_triangle_probe_searches_only_filter_survivors(monkeypatch):
+    """A triangle's per-row probe outnumbers its level's entries, so the
+    level gets a bytemap and the binary search sees fewer keys than the
+    probe was handed (the misses the bytemap dropped)."""
+    searched = []
+    original_search = np.searchsorted
+
+    def search_spy(array, keys, *args, **kwargs):
+        searched.append((array, np.size(keys)))
+        return original_search(array, keys, *args, **kwargs)
+
+    probes = []
+    original_descend = Trie.descend_rows
+
+    def descend_spy(self, parent_level, parent_idx, values):
+        first = len(searched)
+        result = original_descend(self, parent_level, parent_idx, values)
+        packed = self._packed_level(parent_level + 1)
+        keys = sum(n for array, n in searched[first:] if array is packed)
+        probes.append((self, parent_level + 1, len(values), keys))
+        return result
+
+    monkeypatch.setattr(np, "searchsorted", search_spy)
+    monkeypatch.setattr(Trie, "descend_rows", descend_spy)
+    engine = EmptyHeadedEngine(vertically_partition(_community_graph(11)))
+    assert engine.execute_sparql(SHAPES["triangle"]).num_rows > 0
+    filtered = [
+        (handed, keys)
+        for trie, level, handed, keys in probes
+        if level in trie._filter_cache
+    ]
+    assert filtered, probes
+    assert all(keys < handed for handed, keys in filtered), filtered
+
+
+def test_paper_queries_on_lubm_build_no_filter(dataset, queries, monkeypatch):
+    """No probe of the 12 paper queries on LUBM(1) outnumbers its
+    level's entries under EmptyHeaded's plans (selections pushed down,
+    attributes ordered), so none builds a bytemap, fresh or warm."""
+    builds = []
+    original = trie_module.build_probe_filter
+
+    def build_spy(keys):
+        builds.append(keys.shape[0])
+        return original(keys)
+
+    monkeypatch.setattr(trie_module, "build_probe_filter", build_spy)
+    for query_id, text in queries.items():
+        engine = EmptyHeadedEngine(dataset.store)
+        for _ in range(2):
+            engine.execute_sparql(text)
+            assert builds == [], query_id
