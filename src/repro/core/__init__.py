@@ -14,9 +14,10 @@ Pipeline (mirrors EmptyHeaded's three phases, Section II):
    minimum-bound attach order over the store's frequency sketches) and
    is :mod:`repro.core.attribute_order`'s appearance order without it.
 3. :mod:`repro.core.executor` — each GHD node runs the generic worst-case
-   optimal join (:mod:`repro.core.generic_join`) bottom-up; a top-down
-   Yannakakis pass materializes the final result; the root may be fused
-   with one pipelineable child (+Pipelining, Definition 2).
+   optimal join (:mod:`repro.core.generic_join`) bottom-up; the root's
+   join also carries the projected attributes of the nodes below it, so
+   it yields the final result; the root may be fused with one
+   pipelineable child (+Pipelining, Definition 2).
 """
 
 from repro.core.agm import agm_bound, fractional_edge_cover

@@ -1,15 +1,16 @@
 """GHD plan execution (Section II-C, plus the Section III optimizations).
 
-Execution runs in two passes over the GHD, exactly as the paper
-describes:
+Execution is one bottom-up pass over the GHD: Algorithm 1 (the generic
+worst-case optimal join) runs inside each node, and a node's
+participants are its own atoms *plus the materialized results of its
+children* projected onto shared attributes, so child selections
+semijoin-reduce their parents.
 
-1. **Bottom-up**: Algorithm 1 (the generic worst-case optimal join) runs
-   inside each node; a node's participants are its own atoms *plus the
-   materialized results of its children* projected onto shared
-   attributes, so child selections semijoin-reduce their parents.
-2. **Top-down**: when the projection spans several nodes, a Yannakakis-
-   style pass joins node results downward from the root to materialize
-   the final answer.
+The root's join also carries the projection that lives below it: every
+node whose subtree holds a projected attribute outside the root's chi
+joins the root with all of its output attributes. A node's result is
+its subtree's join projected onto its chi, so this is Yannakakis'
+top-down pass run by the same join algorithm — one join per query.
 
 The +Pipelining optimization (Definition 2) fuses the root with one
 pipelineable child at execution time: the child's atoms and child-results
@@ -34,8 +35,6 @@ from repro.core.modifiers import finalize_result
 from repro.core.planner import Plan
 from repro.core.query import Variable
 from repro.core.statistics import atom_relation
-from repro.errors import ExecutionError
-from repro.relalg.kernels import cross_product, natural_join
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
@@ -48,7 +47,9 @@ class ExecutorStats:
     one binding loop completes (a node, or a chunk of the streamed root)
     adds the rows it enters with plus its size after every later join
     binding. A streamed plan leaves its child nodes uncharged, so there
-    it grows with ``offset + limit``, not store size.
+    it grows with ``offset + limit``, not store size. Attributes the
+    root carries from the nodes below it are bound in the root's join,
+    so they are charged there like any other root attribute.
 
     ``last_order``/``last_bounds`` record the attach order (and, when
     the bound-driven search ran, its per-variable frontier bounds) of
@@ -84,17 +85,16 @@ class GHDExecutor:
     def execute(self, plan: Plan) -> Relation:
         """Run the plan; returns the projected, distinct result."""
         self.stats.record_plan(plan)
-        root = plan.ghd.root
         results = self._execute_below_root(plan, self.stats)
         if results is not None:
-            results[root] = self._execute_node(
-                plan, root, results, plan.pipelined_child, self.stats
+            root = self._execute_node(
+                plan, plan.ghd.root, results, plan.pipelined_child, self.stats
             )
-        if results is None or results[root].num_rows == 0:
-            # Any empty node result empties the whole (inner) join.
-            names = [v.name for v in plan.query.projection]
-            return Relation.empty(plan.query.name, names)
-        return finalize_result(self._materialize(plan, results), plan.query)
+            if root.num_rows:
+                return finalize_result(root, plan.query)
+        # Any empty node result empties the whole (inner) join.
+        names = [v.name for v in plan.query.projection]
+        return Relation.empty(plan.query.name, names)
 
     # ------------------------------------------------------------------
     # Streaming entry point
@@ -110,14 +110,13 @@ class GHDExecutor:
         offset/limit slice — the consumer stops pulling once it has
         enough rows, which is the whole point.
 
-        Streaming requires the projection to be answerable from the
-        (fused) root node alone with a reordered binding sequence
-        ``[selections..., projection..., rest...]``; plans that need the
-        top-down Yannakakis pass, project nothing, select a projected
-        variable, or repeat one, fall back (``None``) to the
-        materializing path. Child nodes below the root still materialize
-        bottom-up — they are semijoin reducers, typically far smaller
-        than the root's output.
+        The root's join carries the whole projection, so streaming is
+        that join with a reordered binding sequence
+        ``[selections..., projection..., rest...]``; plans that project
+        nothing, select a projected variable, or repeat one fall back
+        (``None``) to the materializing path. Nodes below the root still
+        materialize bottom-up — they are semijoin reducers, typically
+        far smaller than the root's output.
         """
         query = plan.query
         projection = list(query.projection)
@@ -126,9 +125,6 @@ class GHDExecutor:
         attrs, atom_indices, child_ids = self._node_members(
             plan, plan.ghd.root, plan.pipelined_child
         )
-        chi = set(attrs)
-        if any(v not in chi for v in projection):
-            return None  # needs the top-down pass: materialize
         selections = {
             v: query.selections[v] for v in attrs if v in query.selections
         }
@@ -249,13 +245,14 @@ class GHDExecutor:
     def _node_members(
         self, plan: Plan, node_id: int, fused: int | None
     ) -> tuple[list[Variable], list[int], list[int]]:
-        """A node's attribute order, atoms, and children (fused-aware)."""
+        """A node's attribute order, atoms, and children (fused-aware).
+        The root also takes in every carried node's output attributes
+        (its chi minus selections) and its result as a participant."""
         ghd = plan.ghd
         member_nodes = [ghd.node(node_id)]
         if fused is not None:
             member_nodes.append(ghd.node(fused))
 
-        # Attribute order: global order restricted to the (fused) chi.
         chi: set[Variable] = set()
         atom_indices: list[int] = []
         child_ids: list[int] = []
@@ -265,6 +262,12 @@ class GHDExecutor:
             child_ids.extend(
                 c for c in member.children if c not in (fused,)
             )
+        if node_id == ghd.root:
+            for carried in _carried_nodes(plan, chi):
+                chi |= ghd.node(carried).chi - plan.query.selections.keys()
+                if carried not in child_ids:
+                    child_ids.append(carried)
+        # Attribute order: global order restricted to the (widened) chi.
         attrs = [v for v in plan.global_order if v in chi]
         return attrs, atom_indices, child_ids
 
@@ -317,61 +320,21 @@ class GHDExecutor:
             trie=trie, attrs=tuple(var_order), label=repr(atom)
         )
 
-    # ------------------------------------------------------------------
-    # Top-down: Yannakakis materialization across nodes
-    # ------------------------------------------------------------------
-    def _materialize(self, plan: Plan, results: dict[int, Relation]) -> Relation:
-        ghd = plan.ghd
-        root_result = results[ghd.root]
-        projection_names = {v.name for v in plan.query.projection}
 
-        # Which projection attributes live in each subtree?
-        needed_below: dict[int, set[str]] = {}
-
-        def collect(node_id: int) -> set[str]:
-            node = ghd.node(node_id)
-            if node_id in results:
-                own = set(results[node_id].attributes) & projection_names
-            else:  # the fused child: its attrs are already in the root
-                own = set()
-            for child in node.children:
-                own |= collect(child)
-            needed_below[node_id] = own
-            return own
-
-        collect(ghd.root)
-
-        acc = root_result
-        fused = plan.pipelined_child
-
-        def descend(node_id: int) -> None:
-            nonlocal acc
-            node = ghd.node(node_id)
-            for child_id in node.children:
-                if child_id == fused:
-                    # Fused child: its result is part of the root's; its
-                    # own children may still add projection attributes.
-                    descend(child_id)
-                    continue
-                missing = needed_below[child_id] - set(acc.attributes)
-                if not missing:
-                    continue
-                child_result = results[child_id]
-                if any(a in acc.attributes for a in child_result.attributes):
-                    acc = natural_join(acc, child_result)
-                else:
-                    acc = cross_product(acc, child_result)
-                descend(child_id)
-
-        descend(ghd.root)
-
-        missing = projection_names - set(acc.attributes)
-        if missing:  # pragma: no cover - defended against by the planner
-            raise ExecutionError(
-                f"projection attributes {sorted(missing)} were not "
-                "materialized by the plan"
-            )
-        return acc
+def _carried_nodes(plan: Plan, root_chi: set[Variable]) -> list[int]:
+    """The nodes below the (fused) root whose subtree holds a projected
+    attribute outside ``root_chi``, in postorder."""
+    ghd = plan.ghd
+    missing = set(plan.query.projection) - root_chi
+    holding: set[int] = set()
+    carried: list[int] = []
+    for node in ghd.postorder():
+        if missing.isdisjoint(node.chi) and holding.isdisjoint(node.children):
+            continue
+        holding.add(node.node_id)
+        if node.node_id not in (ghd.root, plan.pipelined_child):
+            carried.append(node.node_id)
+    return carried
 
 
 def _drop_adjacent_duplicates(

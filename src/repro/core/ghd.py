@@ -9,8 +9,8 @@ vertices ``chi(t)`` and a set of hyperedges ``lambda(t)`` such that
 3. every node's ``chi(t)`` is covered by its ``lambda(t)``.
 
 We represent GHDs as rooted trees because the paper's execution model is
-rooted: Algorithm 1 runs bottom-up over nodes, then a top-down pass
-materializes the final result.
+rooted: Algorithm 1 runs bottom-up over nodes, and the root's join
+yields the final result.
 """
 
 from __future__ import annotations

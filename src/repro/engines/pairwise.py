@@ -37,7 +37,7 @@ from repro.engines.base import Engine
 from repro.engines.leaves import existence_leaf
 from repro.errors import ExecutionError
 from repro.relalg.estimates import EstimatedRelation
-from repro.relalg.kernels import cross_product, natural_join
+from repro.relalg.kernels import join_in_order
 from repro.relalg.selinger import selinger_join_order
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -171,20 +171,7 @@ class ColumnStoreEngine(Engine):
             estimates.append(estimate)
 
         order = selinger_join_order(estimates).order
-        result = leaves[order[0]]
-        for index in order[1:]:
-            right = leaves[index]
-            if result.num_rows == 0:
-                # Keep the schema growing so projection still succeeds.
-                merged_attrs = list(result.attributes) + [
-                    a for a in right.attributes if a not in result.attributes
-                ]
-                result = Relation.empty(result.name, merged_attrs)
-                continue
-            if any(a in result.attributes for a in right.attributes):
-                result = natural_join(result, right)
-            else:
-                result = cross_product(result, right)
+        result = join_in_order(leaves, order)
 
         names = [v.name for v in normalized.projection]
         missing = [n for n in names if n not in result.attributes]

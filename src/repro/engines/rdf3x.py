@@ -29,7 +29,7 @@ from repro.engines.leaves import existence_leaf, materialized_leaf
 from repro.engines.triple_index import ALL_PERMUTATIONS, TripleTable
 from repro.errors import ExecutionError, UnknownRelationError
 from repro.relalg.estimates import EstimatedRelation
-from repro.relalg.kernels import cross_product, natural_join
+from repro.relalg.kernels import join_in_order
 from repro.relalg.selinger import selinger_join_order
 from repro.storage.relation import Relation
 from repro.storage.vertical import (
@@ -242,18 +242,6 @@ class RDF3XLikeEngine(Engine):
             estimates.append(estimate)
 
         order = self._join_order(estimates)
-        result = leaves[order[0]]
-        for idx in order[1:]:
-            right = leaves[idx]
-            if result.num_rows == 0:
-                merged = list(result.attributes) + [
-                    a for a in right.attributes if a not in result.attributes
-                ]
-                result = Relation.empty(result.name, merged)
-                continue
-            if any(a in result.attributes for a in right.attributes):
-                result = natural_join(result, right)
-            else:
-                result = cross_product(result, right)
+        result = join_in_order(leaves, order)
 
         return finalize_result(result, normalized)

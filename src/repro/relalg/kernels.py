@@ -8,10 +8,12 @@ no Python-level loop over rows or groups.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.nputil import grouped_ranges as _grouped_ranges_impl
+from repro.nputil import grouped_ranges
 from repro.storage.relation import Relation
 
 
@@ -37,11 +39,6 @@ def _composite_group_ids(
         ids_left = inverse2[:n_left]
         ids_right = inverse2[n_left:]
     return ids_left, ids_right
-
-
-def _grouped_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``range(start, start+count)`` per group, vectorized."""
-    return _grouped_ranges_impl(starts, counts)
 
 
 JOIN_ASYMMETRY = 16
@@ -102,7 +99,7 @@ def _join_indices_general(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     # Left side: each left row of a group repeats right_count times.
-    left_positions = _grouped_ranges(left_starts, left_counts)
+    left_positions = grouped_ranges(left_starts, left_counts)
     per_left_repeat = np.repeat(right_counts, left_counts)
     left_idx = np.repeat(left_positions, per_left_repeat)
 
@@ -147,18 +144,6 @@ def natural_join(
     return Relation(name or f"({left.name}*{right.name})", out_attrs, columns)
 
 
-def semijoin(left: Relation, right: Relation) -> Relation:
-    """Rows of ``left`` with a same-named-key match in ``right``."""
-    keys = [a for a in left.attributes if a in right.attributes]
-    if not keys:
-        return left
-    left_keys = [left.column(k) for k in keys]
-    right_keys = [right.column(k) for k in keys]
-    ids_left, ids_right = _composite_group_ids(left_keys, right_keys)
-    matches = np.isin(ids_left, np.unique(ids_right))
-    return left.filter(matches)
-
-
 def cross_product(
     left: Relation, right: Relation, name: str | None = None
 ) -> Relation:
@@ -175,3 +160,23 @@ def cross_product(
         right.column(a)[right_idx] for a in right.attributes
     ]
     return Relation(name or f"({left.name}x{right.name})", out_attrs, columns)
+
+
+def join_in_order(leaves: list[Relation], order: Sequence[int]) -> Relation:
+    """The pairwise baselines' join loop: fold ``leaves`` in ``order``,
+    natural-joining a leaf that shares an attribute with the result and
+    cross-multiplying one that shares none. An empty result only widens
+    its schema, so the caller's projection still finds every attribute."""
+    result = leaves[order[0]]
+    for index in order[1:]:
+        right = leaves[index]
+        if result.num_rows == 0:
+            merged = list(result.attributes) + [
+                a for a in right.attributes if a not in result.attributes
+            ]
+            result = Relation.empty(result.name, merged)
+        elif any(a in result.attributes for a in right.attributes):
+            result = natural_join(result, right)
+        else:
+            result = cross_product(result, right)
+    return result

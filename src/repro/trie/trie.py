@@ -640,13 +640,3 @@ class Trie:
         for pos, value in enumerate(arr):
             child = TrieNode(node.depth + 1, begin + pos)
             yield from self._iter_from(child, prefix + (int(value),))
-
-    def memory_profile(self) -> dict[str, int]:
-        """Rough byte counts per component (used by storage reports)."""
-        values_bytes = sum(int(v.nbytes) for v in self._values)
-        offsets_bytes = sum(int(o.nbytes) for o in self._offsets)
-        return {
-            "values_bytes": values_bytes,
-            "offsets_bytes": offsets_bytes,
-            "total_bytes": values_bytes + offsets_bytes,
-        }

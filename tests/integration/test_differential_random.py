@@ -19,8 +19,12 @@ the offending seed + query text, so failures reproduce exactly.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import OptimizationConfig
 from repro.engines import ALL_ENGINES
+from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.rdf.vocabulary import XSD_INTEGER
 from repro.storage.vertical import vertically_partition
 
@@ -798,6 +802,105 @@ def test_prepared_zipf_parameters_stay_row_identical(seed):
                 f"{context}: engine {name} returned {engine_rows!r}, "
                 f"emptyheaded returned {reference!r}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Tree-shaped queries whose projection reaches a grandchild of the GHD
+# root: the root's join must carry those attributes through the nodes
+# between, under every GHD-building configuration.
+# ---------------------------------------------------------------------------
+_TREE_CONFIGS = {
+    "all_on": OptimizationConfig.all_on(),
+    "baseline_with_ghd": OptimizationConfig.baseline_with_ghd(),
+    "no_pipelining": OptimizationConfig.all_on().but(pipelining=False),
+}
+
+
+@st.composite
+def _tree_queries(draw):
+    """A small graph and a tree-shaped query over it.
+
+    Every pattern hangs a fresh variable off one already introduced.
+    The first four form a path ``?a0 .. ?a4``, and both its ends are
+    projected: whichever pattern the GHD root holds, one end lives only
+    two or more nodes below it.
+    """
+    nodes = [f"<{EX}n{i}>" for i in range(5)]
+    predicates = [f"<{EX}p{i}>" for i in range(2)]
+    graph = sorted(
+        draw(
+            st.sets(
+                st.tuples(
+                    st.sampled_from(nodes),
+                    st.sampled_from(predicates),
+                    st.sampled_from(nodes),
+                ),
+                min_size=8,
+                max_size=30,
+            )
+        )
+    )
+    present = sorted({p for _, p, _ in graph})
+    variables = ["?a0"]
+    patterns = []
+    for i in range(draw(st.integers(4, 5))):
+        anchor = variables[-1] if i < 4 else draw(st.sampled_from(variables))
+        fresh = f"?a{len(variables)}"
+        variables.append(fresh)
+        predicate = draw(st.sampled_from(present))
+        if draw(st.booleans()):
+            patterns.append((anchor, predicate, fresh))
+        else:
+            patterns.append((fresh, predicate, anchor))
+    extra = draw(st.lists(st.sampled_from(variables), max_size=1))
+    spec = {
+        "branches": [{"patterns": patterns, "optionals": []}],
+        "filters": [],
+        "projection": sorted({"?a0", "?a4", *extra}),
+        "order": None,
+        "limit": None,
+        "offset": 0,
+    }
+    return graph, spec
+
+
+def _projection_depth(plan) -> int:
+    """How far below the GHD root the projection reaches: over the
+    projected variables, the largest of the shallowest depth of a node
+    holding one."""
+    ghd = plan.ghd
+    return max(
+        min(ghd.depth(n.node_id) for n in ghd.nodes if v in n.chi)
+        for v in plan.query.projection
+    )
+
+
+@given(_tree_queries())
+@settings(max_examples=30)
+def test_projection_through_grandchildren_matches_reference(case):
+    graph, spec = case
+    text = _QueryGen.text(spec)
+    expected = _reference_rows(graph, spec)
+    store = vertically_partition(graph)
+    for name, config in _TREE_CONFIGS.items():
+        engine = EmptyHeadedEngine(store, config)
+        context = f"config={name} query={text!r} graph={graph!r}"
+        plan = engine.plan_for(engine.bind(engine.prepare_sparql(text)))
+        assert _projection_depth(plan) >= 2, (context, plan.explain())
+        stream = engine.executor.execute_iter(plan, chunk_rows=2)
+        assert stream is not None, context
+        assert [row for chunk in stream for row in chunk.iter_rows()] == list(
+            engine.executor.execute(plan).iter_rows()
+        ), context
+        rows = engine.decode(engine.execute_sparql(text))
+        assert len(rows) == len(set(rows)), context
+        assert set(rows) == expected, context
+        limited = text + " LIMIT 3 OFFSET 1"
+        pages = list(engine.execute_iter(engine.prepare_sparql(limited)))
+        streamed = [row for page in pages for row in engine.decode(page)]
+        assert streamed == engine.decode(
+            engine.execute_sparql(limited)
+        ), context
 
 
 def test_harness_is_deterministic():

@@ -14,15 +14,13 @@ shapes whose atoms have different subjects, so the coordinator joins
 several fragment results — with the generic join and never pairwise.
 """
 
-import ast
 import pathlib
 import random
-import sys
 
 import pytest
 
+import repro.core
 import repro.distributed
-import repro.relalg.kernels
 
 from repro.distributed import ShardedEngine, ShardedStore
 from repro.engines import ALL_ENGINES
@@ -32,6 +30,7 @@ from tests.integration.test_differential_random import (
     _make_graph,
     _QueryGen,
 )
+from tests.util import relalg_imports, spy_pairwise_kernels
 
 SHARD_COUNTS = (2, 3)
 QUERIES_PER_SEED = 6
@@ -265,19 +264,7 @@ def test_multi_fragment_shapes_match_single_store(community, shape):
 def test_coordinator_joins_no_pair(community, monkeypatch, shape):
     """No pairwise kernel runs for a sharded multi-fragment query —
     wherever a module bound the name, the spy counts the call."""
-    calls = []
-    for kernel in ("natural_join", "cross_product"):
-        original = getattr(repro.relalg.kernels, kernel)
-
-        def spy(*args, _kernel=kernel, _original=original, **kwargs):
-            calls.append(_kernel)
-            return _original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("repro") and (
-                getattr(module, kernel, None) is original
-            ):
-                monkeypatch.setattr(module, kernel, spy)
+    calls = spy_pairwise_kernels(monkeypatch)
     _, stores = community
     engine = ShardedEngine(stores[2])
     assert engine.execute_sparql(SHAPES[shape]).num_rows > 0
@@ -287,12 +274,17 @@ def test_coordinator_joins_no_pair(community, monkeypatch, shape):
 def test_distributed_imports_no_relalg():
     package = pathlib.Path(repro.distributed.__file__).parent
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            for name in names:
-                assert not name.startswith("repro.relalg"), (path, name)
+        assert relalg_imports(path) == [], path
+
+
+def test_core_joins_import_no_relalg():
+    """The GHD executor and the generic join use no pairwise kernel;
+    in ``core/`` only OPTIONAL assembly (``blocks.py``, which matches
+    rows with ``join_indices``) imports ``repro.relalg``."""
+    package = pathlib.Path(repro.core.__file__).parent
+    importers = {
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if relalg_imports(path)
+    }
+    assert importers == {"blocks.py"}

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.relalg.kernels import cross_product, natural_join, semijoin
+from repro.relalg.kernels import cross_product, join_in_order, natural_join
 from repro.storage.relation import Relation
+from tests.util import spy_pairwise_kernels
 
 
 def _rel(name, attrs, rows):
@@ -63,18 +64,6 @@ def test_asymmetric_join_prefilter_path():
     assert joined2.to_set() == {(5, 50, 5), (100, 51, 100)}
 
 
-def test_semijoin():
-    r = _rel("r", ("x", "k"), [(1, 5), (2, 6), (3, 7)])
-    s = _rel("s", ("k",), [(5,), (7,)])
-    assert semijoin(r, s).to_set() == {(1, 5), (3, 7)}
-
-
-def test_semijoin_no_shared_attrs_is_identity():
-    r = _rel("r", ("x",), [(1,)])
-    s = _rel("s", ("y",), [(9,)])
-    assert semijoin(r, s) is r
-
-
 def test_cross_product():
     r = _rel("r", ("x",), [(1,), (2,)])
     s = _rel("s", ("y",), [(8,), (9,)])
@@ -116,13 +105,34 @@ def test_join_matches_python_sets(left_rows, right_rows):
     assert joined.num_rows == expected_count
 
 
-@given(rows, rows)
-@settings(max_examples=40, deadline=None)
-def test_semijoin_matches_python_sets(left_rows, right_rows):
-    r = _rel("r", ("x", "k"), left_rows)
-    s = _rel("s", ("k", "y"), right_rows)
-    keys = {k for k, _ in right_rows}
-    expected_rows = [row for row in left_rows if row[1] in keys]
-    assert list(semijoin(r, s).iter_rows()) == [
-        tuple(row) for row in expected_rows
-    ]
+def test_join_in_order_joins_or_multiplies_per_leaf():
+    r = _rel("r", ("x", "k"), [(1, 5), (2, 6)])
+    s = _rel("s", ("k", "y"), [(5, 7), (6, 8)])
+    t = _rel("t", ("z",), [(0,), (9,)])
+    joined = join_in_order([r, s, t], [2, 0, 1])
+    assert joined.attributes == ("z", "x", "k", "y")
+    assert joined.to_set() == {
+        (z, x, k, y)
+        for (z,) in [(0,), (9,)]
+        for (x, k, y) in [(1, 5, 7), (2, 6, 8)]
+    }
+
+
+def test_join_in_order_widens_an_empty_result():
+    r = _rel("r", ("x", "k"), [(1, 5)])
+    s = _rel("s", ("k", "y"), [(6, 8)])
+    t = _rel("t", ("y", "z"), [(8, 1)])
+    joined = join_in_order([r, s, t], [0, 1, 2])
+    assert joined.num_rows == 0
+    assert joined.attributes == ("x", "k", "y", "z")
+
+
+def test_join_in_order_calls_the_module_kernels(monkeypatch):
+    """The kernels are looked up through ``repro.relalg.kernels`` at
+    call time, so a spy set there sees every pairwise step."""
+    calls = spy_pairwise_kernels(monkeypatch)
+    r = _rel("r", ("x", "k"), [(1, 5)])
+    s = _rel("s", ("k", "y"), [(5, 8)])
+    t = _rel("t", ("z",), [(3,)])
+    assert join_in_order([r, s, t], [0, 1, 2]).to_set() == {(1, 5, 8, 3)}
+    assert calls == ["natural_join", "cross_product"]

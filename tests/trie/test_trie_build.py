@@ -107,15 +107,6 @@ def test_forced_layout_propagates_to_sets():
     assert forced.child_set(node).layout is SetLayout.UINT_ARRAY
 
 
-def test_memory_profile_reports_bytes():
-    t = _trie([(1, 2), (3, 4)])
-    profile = t.memory_profile()
-    assert profile["total_bytes"] == (
-        profile["values_bytes"] + profile["offsets_bytes"]
-    )
-    assert profile["values_bytes"] > 0
-
-
 def _reference_levels(columns):
     """Trie levels the slow way: a lexsort, then a Python walk that
     starts a node wherever a row's prefix differs from the previous

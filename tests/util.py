@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+import sys
 from itertools import product
 
+import repro.relalg.kernels
 from repro.core.generic_join import generic_join_stream
 from repro.core.query import (
     Atom,
@@ -135,3 +139,41 @@ def run_query(
     planner = Planner(config, sketches_of(catalog))
     plan = planner.plan(normalize(query))
     return GHDExecutor(catalog).execute(plan).to_set()
+
+
+def spy_pairwise_kernels(monkeypatch) -> list[str]:
+    """Count every ``natural_join`` / ``cross_product`` call.
+
+    Wherever a ``repro`` module bound a kernel's name (its defining
+    module included, where ``join_in_order`` looks it up), the name is
+    replaced by a spy that records the call and runs the kernel. Returns
+    the list the spies append the kernel names to.
+    """
+    calls: list[str] = []
+    for kernel in ("natural_join", "cross_product"):
+        original = getattr(repro.relalg.kernels, kernel)
+
+        def spy(*args, _kernel=kernel, _original=original, **kwargs):
+            calls.append(_kernel)
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, kernel, None) is original
+            ):
+                monkeypatch.setattr(module, kernel, spy)
+    return calls
+
+
+def relalg_imports(path) -> list[str]:
+    """The ``repro.relalg`` modules a source file imports."""
+    found = []
+    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend(n for n in names if n.startswith("repro.relalg"))
+    return found
