@@ -3,7 +3,12 @@
 Engines resolve atom names against a :class:`Catalog`. WCOJ engines also
 ask it for trie indexes over specific attribute orders; builds are cached
 per (relation, order, layout mode) the way EmptyHeaded reuses indexes
-across back-to-back queries.
+across back-to-back queries. The cache belongs to one catalog, but the
+sort behind a build belongs to the relation
+(:meth:`~repro.storage.relation.Relation.sorted_columns`): catalogs
+that register the same store table, as every fresh engine over one
+epoch does, sort it once per order between them and each build only
+the prefix scan.
 
 The catalog is safe for concurrent readers (the serving layer's
 ``execute_concurrent`` runs many queries over one read-only catalog):

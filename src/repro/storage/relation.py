@@ -25,9 +25,18 @@ NULL_KEY = int(np.iinfo(VALUE_DTYPE).max)
 
 
 class Relation:
-    """An immutable named relation with ``uint32`` columns."""
+    """An immutable named relation with ``uint32`` columns.
 
-    __slots__ = ("name", "attributes", "columns")
+    Its sorted-distinct rows in a given column order are computed on
+    the first :meth:`sorted_columns` call for that order and kept with
+    the relation, so every trie built over it in that order reuses one
+    sort. The columns never change, so the memo cannot go stale: an
+    update makes a new relation, which starts without one. The memo
+    stays in this process: a pickled relation carries only its name,
+    attributes and columns.
+    """
+
+    __slots__ = ("name", "attributes", "columns", "_sorted")
 
     def __init__(
         self,
@@ -51,6 +60,10 @@ class Relation:
         self.name = name
         self.attributes = tuple(attributes)
         self.columns = cols
+        self._sorted: dict[tuple[str, ...], tuple[np.ndarray, ...]] | None = None
+
+    def __reduce__(self):
+        return (Relation, (self.name, self.attributes, self.columns))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -112,6 +125,25 @@ class Relation:
                 f"(has {self.attributes})"
             ) from None
         return self.columns[idx]
+
+    def sorted_columns(self, order: Sequence[str]) -> tuple[np.ndarray, ...]:
+        """The distinct rows of the columns in ``order``, sorted
+        (:func:`~repro.nputil.sorted_distinct_rows`), computed on the
+        first call for ``order`` and returned as the same tuple on every
+        later one. For an order the rows are already sorted-distinct in
+        (a store table's (subject, object)) these are the relation's own
+        arrays. Concurrent first calls race benignly: both sort, and
+        each gets an equal result."""
+        order = tuple(order)
+        memo = self._sorted
+        if memo is None:
+            memo = self._sorted = {}
+        columns = memo.get(order)
+        if columns is None:
+            columns = memo.setdefault(
+                order, sorted_distinct_rows([self.column(a) for a in order])
+            )
+        return columns
 
     def iter_rows(self) -> Iterator[tuple[int, ...]]:
         """Iterate rows as Python int tuples (test/debug helper)."""

@@ -26,9 +26,13 @@ with the store.
   order, so **every table is sorted-distinct by (subject, object) at
   every epoch**: at load, after any batch, after compaction, and in
   every snapshot. Trie building relies on it — a (subject, object) trie
-  over a store table is a linear scan, never a sort. A commit refreshes
-  only the tables its batch touches, each by splicing the batch's rows
-  into the previous epoch's relation (:func:`patch_relation`); the
+  over a store table is a linear scan, never a sort — and a table keeps
+  its rows sorted in any other order once a trie first needs them
+  (:meth:`~repro.storage.relation.Relation.sorted_columns`), so fresh
+  engines over one epoch sort each table at most once per order. A
+  commit refreshes only the tables its batch touches, each by splicing
+  the batch's rows into the previous epoch's relation
+  (:func:`patch_relation`), which starts with no sorted copy; the
   mapping itself is *replaced wholesale* on every commit so a
   concurrent reader that grabbed a reference sees one consistent epoch,
   never a half-applied batch.

@@ -20,12 +20,18 @@ the layout-construction cost once.
 Building sorts only what does not arrive sorted. The store keeps every
 predicate table sorted-distinct by (subject, object), so a trie in that
 order is a linear scan over the table's own columns; the
-(object, subject) trie sorts the table once as packed ``uint64`` keys;
-the three-column ``__triples__`` view is sorted-distinct by (predicate,
+(object, subject) trie sorts the table as packed ``uint64`` keys; the
+three-column ``__triples__`` view is sorted-distinct by (predicate,
 subject, object), and only its other orders need a multi-key sort. All
-three cases are :func:`~repro.nputil.sorted_distinct_rows`. Rows that
-are sorted-distinct by construction (a GHD child's ``distinct()``
-result) go straight to :meth:`Trie.from_sorted_distinct`.
+three cases are :func:`~repro.nputil.sorted_distinct_rows`, and a trie
+over a relation takes its rows from
+:meth:`~repro.storage.relation.Relation.sorted_columns`, which sorts
+each relation once per order and keeps the result. A store table is
+replaced by a new relation only when a commit changes it, so every
+fresh engine over the same epoch builds its (object, subject) tries
+without a sort. Rows that are sorted-distinct by construction (a GHD
+child's ``distinct()`` result) go straight to
+:meth:`Trie.from_sorted_distinct`.
 
 An update never rebuilds a trie: :meth:`Trie.apply_delta` splices the
 batch into the CSR levels where they stand (one copy per level array
@@ -213,18 +219,17 @@ class Trie:
     ) -> "Trie":
         """Build a trie from parallel ``uint32`` columns.
 
-        The rows go through :func:`~repro.nputil.sorted_distinct_rows`:
-        rows that arrive sorted-distinct in this column order (a store
-        table in (subject, object) order) are only checked, one or two
-        columns in any other order are sorted as packed ``uint64`` keys
-        (one ``np.sort``), and only three or more columns take a
-        multi-key sort. The levels are then derived by
-        :meth:`from_sorted_distinct`.
+        The rows go through :func:`~repro.nputil.sorted_distinct_rows`
+        on every call: rows that arrive sorted-distinct in this column
+        order are only checked, one or two columns in any other order
+        are sorted as packed ``uint64`` keys (one ``np.sort``), and only
+        three or more columns take a multi-key sort. The levels are then
+        derived by :meth:`from_sorted_distinct`. A trie over a stored
+        relation is built by :meth:`from_relation` instead, which reuses
+        the relation's sorted rows.
         """
         if len(columns) != len(attributes):
             raise StorageError("column/attribute count mismatch")
-        if not columns:
-            raise StorageError("cannot build a trie with zero attributes")
         cols = [np.asarray(c, dtype=VALUE_DTYPE) for c in columns]
         if any(c.shape[0] != cols[0].shape[0] for c in cols):
             raise StorageError("ragged columns")
@@ -251,6 +256,8 @@ class Trie:
         the last level is the last column itself (no copy) and its
         parents' offsets are their row positions.
         """
+        if not cols:
+            raise StorageError("cannot build a trie with zero attributes")
         cols = [np.asarray(c, dtype=VALUE_DTYPE) for c in cols]
         n = cols[0].shape[0]
         if n == 0:
@@ -295,14 +302,21 @@ class Trie:
 
         ``attribute_order`` must be a permutation of the relation's
         attributes (this is "selecting a single index over the relation").
+        The rows come from
+        :meth:`~repro.storage.relation.Relation.sorted_columns`, so only
+        the first trie in an order over a relation sorts; the last
+        level is the memo's last column itself (no copy).
         """
         if sorted(attribute_order) != sorted(relation.attributes):
             raise StorageError(
                 f"attribute order {attribute_order} is not a permutation of "
                 f"{relation.attributes}"
             )
-        columns = [relation.column(a) for a in attribute_order]
-        return cls.build(columns, attribute_order, force_layout=force_layout)
+        return cls.from_sorted_distinct(
+            relation.sorted_columns(attribute_order),
+            attribute_order,
+            force_layout=force_layout,
+        )
 
     # ------------------------------------------------------------------
     # Incremental maintenance

@@ -1,9 +1,17 @@
 """Relation: columnar operations."""
 
+import itertools
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.nputil import sorted_distinct_rows
 from repro.storage.relation import Relation
 
 
@@ -107,3 +115,71 @@ def test_equals_content(rel):
     assert not rel.equals_content(different)
     narrower = Relation.from_rows("n", ("x",), [(1,)])
     assert not rel.equals_content(narrower)
+
+
+@st.composite
+def _relations(draw):
+    """1–3 columns of small values: empty, duplicate and unsorted rows."""
+    arity = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(st.tuples(*[st.integers(0, 4)] * arity), max_size=30)
+    )
+    return Relation.from_rows("r", ("a", "b", "c")[:arity], rows)
+
+
+@given(_relations())
+def test_sorted_columns_is_a_memo_of_sorted_distinct_rows(relation):
+    for order in itertools.permutations(relation.attributes):
+        columns = relation.sorted_columns(order)
+        expected = sorted_distinct_rows([relation.column(a) for a in order])
+        assert len(columns) == len(expected) == len(order)
+        for ours, reference in zip(columns, expected):
+            assert ours.dtype == reference.dtype
+            assert np.array_equal(ours, reference)
+        rows = sorted({tuple(int(v) for v in row) for row in zip(*expected)})
+        assert list(zip(*(c.tolist() for c in columns))) == rows
+        assert relation.sorted_columns(order) is columns
+    stored = relation.distinct()
+    own = stored.sorted_columns(stored.attributes)
+    assert all(ours is column for ours, column in zip(own, stored.columns))
+
+
+def test_pickle_leaves_the_memo_behind(rel):
+    rel.sorted_columns(("b", "a"))
+    fresh = Relation(rel.name, rel.attributes, rel.columns)
+    assert pickle.dumps(rel) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(rel))
+    assert copy.attributes == rel.attributes
+    assert copy.to_set() == rel.to_set()
+    assert copy._sorted is None
+
+
+def test_concurrent_first_calls_agree():
+    """Racing first calls may each sort, but every caller gets the
+    sorted rows and the memo settles on one tuple."""
+    rows = np.arange(20_000, dtype=np.uint32)
+    relation = Relation("r", ("s", "o"), (rows // 3, (rows * 7919) % 4001))
+    expected = sorted_distinct_rows([relation.column("o"), relation.column("s")])
+    results = []
+    start = threading.Barrier(8)
+
+    def call():
+        start.wait(timeout=10)
+        results.append(relation.sorted_columns(("o", "s")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for columns in results:
+        assert all(np.array_equal(a, b) for a, b in zip(columns, expected))
+    settled = relation.sorted_columns(("o", "s"))
+    assert relation.sorted_columns(("o", "s")) is settled

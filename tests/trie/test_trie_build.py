@@ -221,10 +221,15 @@ def test_subject_object_trie_over_sorted_table_sorts_nothing(
 
 
 def test_object_subject_trie_sorts_packed_keys_once(sorted_relation, sort_calls):
-    trie = Trie.from_relation(sorted_relation, ("o", "s"))
+    relation = Relation("r", sorted_relation.attributes, sorted_relation.columns)
+    trie = Trie.from_relation(relation, ("o", "s"))
     assert [name for name, _ in sort_calls] == ["sort"]
-    assert sort_calls[0][1] <= sorted_relation.num_rows
-    assert trie.num_tuples == sorted_relation.num_rows
+    assert sort_calls[0][1] <= relation.num_rows
+    assert trie.num_tuples == relation.num_rows
+    sort_calls.clear()
+    again = Trie.from_relation(relation, ("o", "s"))
+    assert sort_calls == []
+    assert again.level_values(1) is trie.level_values(1)
 
 
 def test_distinct_of_sorted_relation_sorts_nothing(sorted_relation, sort_calls):
